@@ -391,7 +391,7 @@ pub fn register_retire_benches(c: &mut Criterion) {
         })
     });
     // Retire with a counter programmed near overflow: exercises the
-    // watermark slow path so regressions there stay visible.
+    // per-counter slow path so regressions there stay visible.
     c.bench_function("sim/retire-alu-armed-10k", |b| {
         b.iter(|| {
             let mut core = Core::new(PlatformSpec::x60());

@@ -242,7 +242,7 @@ pub fn record_streamed(
 mod tests {
     use super::*;
     use mperf_ir::compile;
-    use mperf_sim::{Core, PlatformSpec};
+    use mperf_sim::{Core, Platform, PlatformSpec};
 
     const WORK: &str = r#"
         fn leaf_a(n: i64) -> i64 {
@@ -334,6 +334,33 @@ mod tests {
             "{with_main}/{}",
             p.samples.len()
         );
+    }
+
+    /// Sampling stays on the superblock path: recording the CLI demo at
+    /// period 997 retires at least 99% of machine ops inside
+    /// superblocks, on the x60 leader-group workaround and on c910
+    /// direct sampling alike, with the overflows taken at block cuts.
+    #[test]
+    fn record_of_demo_retires_ops_in_superblocks() {
+        for platform in [Platform::SpacemitX60, Platform::TheadC910] {
+            let (mut vm, args) = crate::cli::demo_vm(platform);
+            let p = record(&mut vm, "demo", &args, RecordConfig { period: 997 }).unwrap();
+            let blocks = vm.block_dynamics();
+            let total = vm.stats().machine_ops;
+            let share = blocks.block_share(total);
+            assert!(
+                share >= 0.99,
+                "{platform:?}: {:.2}% of {total} ops in superblocks ({blocks:?})",
+                share * 100.0
+            );
+            // Each overflow interrupt is one sample (kept or lost to a
+            // full ring); those raised inside a block are block cuts.
+            let overflows = p.samples.len() as u64 + p.lost;
+            assert!(
+                blocks.cut_at_wrap > 0 && blocks.cut_at_wrap <= overflows,
+                "{platform:?}: {blocks:?}, {overflows} overflows"
+            );
+        }
     }
 
     #[test]

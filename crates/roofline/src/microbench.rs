@@ -126,8 +126,9 @@ fn stream_bandwidth(
         StreamKernel::Memset => {
             let n = (working_set / 8).max(1024);
             let p = vm.mem.alloc(n * 8, 64).expect("fits");
-            // Warm-up pass (page the region in, then measure a
-            // steady-state pass).
+            // Warm-up pass: the simulator has no paging, but the first
+            // pass fills the caches, loads the DRAM queue and trains the
+            // branch predictor, so the second pass measures steady state.
             vm.call(
                 "memset64",
                 &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(1)],

@@ -16,6 +16,18 @@ use crate::pmu::Pmu;
 /// (`MAX_FUSE_WIDTH` in `mperf-vm`) at this value.
 pub const MAX_FUSED_BATCH: usize = 6;
 
+/// Maximum architectural FLOPs one machine op inside a superblock may
+/// carry: an FMA over the widest (255-lane) vector type is 510.
+pub const MAX_OP_FLOPS: u32 = 512;
+
+/// Largest block, and largest DRAM backlog (cycles) at its entry, that
+/// [`Core::block_begin_in`] runs unchecked on a quiet PMU without
+/// working out its deadline: such a block advances any counter by less
+/// than [`crate::pmu::QUIET_HEADROOM`] (`Core::new` asserts the
+/// platform's per-op bounds keep it so).
+const QUIET_BLOCK_OPS: u32 = 1 << 12;
+const QUIET_BACKLOG: u64 = 1 << 24;
+
 /// RISC-V privilege modes (the x86 model reuses User/Supervisor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrivMode {
@@ -39,15 +51,15 @@ pub struct RetireInfo {
 /// timing/cache/branch effects immediately (so `Core::cycles` stays
 /// exact mid-block) while their PMU event deltas accumulate here, to be
 /// ticked once by [`Core::retire_block`]. Armed in place by
-/// [`Core::block_begin_in`]; guard the whole block with
-/// [`Core::block_ready`] first so the single combined tick cannot wrap
-/// a counter.
+/// [`Core::block_begin_in`], which also sets the commit-time deadline
+/// before which no counter can wrap; after each op the caller asks
+/// [`Core::block_reached`] and, when it holds, commits through that op.
 #[derive(Debug, Clone, Default)]
 pub struct BlockAcc {
     /// Commit time at block entry (centi-cycles).
     start_centi: u64,
     /// Instruction events from the scalar class lanes
-    /// ([`Core::block_apply_class`]/[`Core::block_apply_classes`]) — the
+    /// ([`Core::block_apply_class`]) — the
     /// dominant case, kept out of the full [`EventDeltas`] bundle so an
     /// all-ALU block touches two words, not twelve.
     instructions: u64,
@@ -56,6 +68,22 @@ pub struct BlockAcc {
     /// marks `deltas` dirty (reset lazily by [`Core::block_begin_in`]).
     complex: bool,
     deltas: EventDeltas,
+    /// Commit time (centi-cycles) at which some PMU counter may wrap;
+    /// `u64::MAX` when the block provably ends before any can.
+    deadline: u64,
+    /// Machine ops the block applies at most (its deadline's bound).
+    ops: u32,
+}
+
+impl BlockAcc {
+    /// Whether an op of the open block can reach its deadline, so the
+    /// caller must check [`Core::block_reached`] after each op; `false`
+    /// when the block's worst case provably ends before any counter can
+    /// wrap.
+    #[inline]
+    pub fn needs_check(&self) -> bool {
+        self.deadline != u64::MAX
+    }
 }
 
 /// One simulated hart.
@@ -87,18 +115,15 @@ pub struct Core {
     /// only): no cache/DRAM terms and no backlog needed, so the probe is
     /// a single compare — see [`Core::fused_ready_nomem`].
     fused_ub_nomem: u64,
-    /// Per-unit conservative event bounds for superblock retire
-    /// ([`Core::block_ready`]): events+cycles per machine op, …
-    block_op_ub: u64,
-    /// … extra per scalar (≤ 2-line) memory reference (static part; the
-    /// DRAM queue backlog is added dynamically), …
-    block_mem_ub: u64,
-    /// … extra per branch, …
-    block_branch_ub: u64,
-    /// … FP-event multiplier per architectural FLOP, …
-    block_fp_ub: u64,
-    /// … and the per-line DRAM channel occupancy bound.
-    block_occ_ub: u64,
+    /// Non-cycle events one superblock op can add to any one counter —
+    /// the part of a counter's advance the cycle deadline does not see.
+    op_event_ub: u64,
+    /// Whole cycles one superblock op can take, DRAM queueing aside —
+    /// with the queue backlog, the bound that lets a block far from its
+    /// deadline skip the per-op check.
+    op_cycles_ub: u64,
+    /// Upper bound on one line's DRAM channel occupancy in cycles.
+    dram_occupancy: u64,
 }
 
 impl Core {
@@ -106,7 +131,7 @@ impl Core {
     pub fn new(spec: PlatformSpec) -> Core {
         let isa = spec.isa_model();
         let slot_unit = (100 / spec.issue_width as u64).max(1);
-        Core {
+        let core = Core {
             csr: Csr::new(spec.cpu_id),
             pmu: Pmu::new(spec.num_hpm_counters),
             mem: MemorySystem::new(spec.caches),
@@ -119,14 +144,24 @@ impl Core {
             slot_unit,
             fused_ub_static: fused_ub_static(&spec, &isa, slot_unit, true),
             fused_ub_nomem: fused_ub_static(&spec, &isa, slot_unit, false),
-            block_op_ub: block_op_ub(&spec, &isa, slot_unit),
-            block_mem_ub: block_mem_ub(&spec),
-            block_branch_ub: block_branch_ub(&spec),
-            block_fp_ub: spec.fp_event_percent as u64 / 100 + 1,
-            block_occ_ub: Core::dram_occupancy_bound(&spec.caches),
+            op_event_ub: block_event_ub(&spec, &isa),
+            op_cycles_ub: block_cycles_ub(&spec, &isa, slot_unit),
+            dram_occupancy: Core::dram_occupancy_bound(&spec.caches),
             isa,
             spec,
-        }
+        };
+        // A quiet block's worst case (see `block_begin_in`):
+        // QUIET_BLOCK_OPS × (op bounds + 2 × QUIET_BACKLOG + 4 ×
+        // QUIET_BLOCK_OPS × occupancy) must stay below QUIET_HEADROOM.
+        assert!(
+            core.op_cycles_ub
+                + core.op_event_ub
+                + (QUIET_BLOCK_OPS as u64 * 4) * core.dram_occupancy
+                < 1 << 26,
+            "{}: per-op bounds too large for the quiet block shortcut",
+            core.spec.name
+        );
+        core
     }
 
     /// Current privilege mode.
@@ -384,12 +419,12 @@ impl Core {
     ///
     /// The probe compares a conservative event-total upper bound
     /// (precomputed from the platform spec, plus the current DRAM queue
-    /// backlog — the one component unbounded by the spec) against the
-    /// PMU's distance-to-overflow watermark. `false` means a counter is
+    /// backlog — the one component unbounded by the spec) against every
+    /// armed counter's distance to overflow. `false` means a counter is
     /// near wrapping (or PMU batching is disabled): the caller must fall
     /// back to per-op [`Core::retire`] so the overflow interrupt is
     /// attributed to exactly the op that wraps — the same exactness rule
-    /// the watermark enforces for single-op batching.
+    /// the PMU enforces for single-op batching.
     #[inline]
     pub fn fused_ready(&mut self) -> bool {
         let ub = self.fused_ub_static + 2 * self.mem.backlog_cycles(self.current_centi());
@@ -562,61 +597,98 @@ impl Core {
         }
     }
 
-    /// Whether a straight-line superblock with the given shape —
-    /// `machine_ops` total machine ops, `mem_refs` scalar (≤ 2-line)
-    /// memory references, `branches` branch ops, `flops` architectural
-    /// FLOPs, no vector memory ops — is guaranteed not to wrap any PMU
-    /// counter, so the whole block may retire as one batched tick via
-    /// [`Core::retire_block`].
+    /// Arm the deferred-retire accumulator for a superblock of at most
+    /// `machine_ops` ops (resetting it in place — the full delta bundle
+    /// is only cleared when the previous block dirtied it) and set its
+    /// deadline. Apply ops through [`Core::block_apply`] (or the
+    /// specialized class/branch lanes), ask [`Core::block_reached`]
+    /// after each, and commit with [`Core::retire_block`].
     ///
-    /// The probe compares a conservative event-total upper bound (three
-    /// multiplies over per-unit bounds precomputed from the platform
-    /// spec, plus the dynamic DRAM queue backlog when the block touches
-    /// memory) against the PMU's distance-to-overflow watermark.
-    /// `false` means a counter is near wrapping (or PMU batching is
-    /// disabled): the caller must execute the block op by op through
-    /// the ordinary retire path so the overflow interrupt is attributed
-    /// to exactly the op that wraps — the same degradation rule
-    /// [`Core::fused_ready`] applies to fused batches.
-    #[inline]
-    pub fn block_ready(
-        &mut self,
-        machine_ops: u32,
-        mem_refs: u32,
-        branches: u32,
-        flops: u32,
-    ) -> bool {
-        let mut ub = machine_ops as u64 * self.block_op_ub
-            + branches as u64 * self.block_branch_ub
-            + flops as u64 * self.block_fp_ub
-            + 16;
-        if mem_refs > 0 {
-            // Each scalar reference touches ≤ 2 lines; queue delay is
-            // bounded by the current backlog plus the block's own lines
-            // stacking up behind each other.
-            let lines = 2 * mem_refs as u64;
-            ub += mem_refs as u64 * self.block_mem_ub
-                + lines
-                    * (self.mem.backlog_cycles(self.current_centi()) + lines * self.block_occ_ub);
-        }
-        let mode = self.mode;
-        self.pmu.batch_headroom(ub, mode)
-    }
-
-    /// Arm the deferred-retire accumulator for one superblock (resetting
-    /// it in place — the full delta bundle is only cleared when the
-    /// previous block dirtied it). Apply ops through
-    /// [`Core::block_apply`] (or the specialized class/branch lanes) and
-    /// commit with [`Core::retire_block`]; guard the block with
-    /// [`Core::block_ready`] first.
-    #[inline]
-    pub fn block_begin_in(&self, acc: &mut BlockAcc) {
-        acc.start_centi = self.current_centi();
+    /// The deadline is the commit time at which the deferred tick could
+    /// first wrap a counter. Near counters counting cycles in this mode
+    /// (`CpuCycles`, the current mode's mode-cycle event: the x60 leader
+    /// and the c910 direct sampler) wrap when the block's telescoped
+    /// cycles exceed their headroom, which is exactly a clock deadline.
+    /// Every other counter advances by at most the block's cycles plus
+    /// `machine_ops × op_event_ub` other events, so its headroom minus
+    /// that reserve bounds the cycles too. When the headroom is already
+    /// inside the reserve — a near non-cycle counter, such as an
+    /// `Instructions` sampler — the deadline is zero: every op reaches
+    /// it and commits on its own. When even the block's worst-case
+    /// cycles cannot reach the deadline it is `u64::MAX`, and
+    /// [`BlockAcc::needs_check`] lets the caller skip the checks. That is
+    /// the rule when no sampling counter is close (counting and roofline
+    /// runs), which a quiet PMU ([`Pmu::quiet`]) settles without the
+    /// arithmetic.
+    #[inline(always)]
+    pub fn block_begin_in(&mut self, acc: &mut BlockAcc, machine_ops: u32) {
+        let start = self.current_centi();
+        acc.start_centi = start;
         acc.instructions = 0;
+        acc.ops = machine_ops;
         if acc.complex {
             acc.deltas = EventDeltas::default();
             acc.complex = false;
         }
+        acc.deadline = if machine_ops <= QUIET_BLOCK_OPS
+            && self.pmu.quiet(self.mode)
+            && self.mem.backlog_cycles(start) <= QUIET_BACKLOG
+        {
+            u64::MAX
+        } else {
+            self.block_deadline(start, machine_ops)
+        };
+    }
+
+    /// [`Core::block_begin_in`]'s deadline for a block of at most
+    /// `machine_ops` ops entered at `start` (centi-cycles), worked out
+    /// from the PMU's [`Pmu::block_budget`].
+    #[inline(never)]
+    fn block_deadline(&mut self, start: u64, machine_ops: u32) -> u64 {
+        let n = machine_ops as u64;
+        let budget = self.pmu.block_budget(self.mode);
+        let Some(events) = budget.events.checked_sub(n * self.op_event_ub) else {
+            return 0;
+        };
+        // Cycles the block may run before a counter can wrap.
+        let cycles = budget.cycles.min(events);
+        // Worst-case block cycles: each op's own bound plus the DRAM
+        // queue delay of its ≤ 2 lines, which is at most the backlog at
+        // block entry plus one occupancy per line queued since.
+        let backlog = self.mem.backlog_cycles(start);
+        let worst = n
+            .saturating_mul(
+                self.op_cycles_ub
+                    .saturating_add(2 * backlog)
+                    .saturating_add(4 * n * self.dram_occupancy),
+            )
+            .saturating_add(1);
+        if worst <= cycles {
+            u64::MAX
+        } else {
+            // The counter wraps once `now / 100 - start / 100 > cycles`.
+            (start / 100)
+                .saturating_add(cycles)
+                .saturating_add(1)
+                .saturating_mul(100)
+        }
+    }
+
+    /// Re-arm `acc` for the rest of a block after a commit through the
+    /// op that reached its deadline (see [`Core::block_begin_in`]).
+    #[inline]
+    pub fn block_restart_in(&mut self, acc: &mut BlockAcc) {
+        let ops = acc.ops;
+        self.block_begin_in(acc, ops);
+    }
+
+    /// Whether the last op applied to `acc` reached its deadline: the
+    /// caller must then commit through that op (and restart the block)
+    /// before applying the next. Never true while
+    /// [`BlockAcc::needs_check`] is false.
+    #[inline(always)]
+    pub fn block_reached(&self, acc: &BlockAcc) -> bool {
+        self.current_centi() >= acc.deadline
     }
 
     /// Apply one op's timing/cache/branch effects now, accumulating its
@@ -625,6 +697,13 @@ impl Core {
     /// [`Core::retire`] with the tick deferred.
     #[inline]
     pub fn block_apply(&mut self, op: &MachineOp, acc: &mut BlockAcc) {
+        debug_assert!(
+            op.flops <= MAX_OP_FLOPS
+                && op
+                    .mem
+                    .is_none_or(|m| m.lanes <= 1 && m.bytes as u64 <= crate::cache::LINE_BYTES),
+            "superblocks take scalar memory references and at most MAX_OP_FLOPS"
+        );
         let instr_before = acc.deltas.instructions;
         let simple = self.apply_op(op, &mut acc.deltas);
         if simple {
@@ -657,14 +736,6 @@ impl Core {
         }
         self.retired += expansion as u64;
         acc.instructions += expansion as u64;
-    }
-
-    /// [`Core::block_apply_class`] over a class slice.
-    #[inline]
-    pub fn block_apply_classes(&mut self, classes: &[OpClass], acc: &mut BlockAcc) {
-        for &class in classes {
-            self.block_apply_class(class, acc);
-        }
     }
 
     /// [`Core::block_apply`] for one branch at `pc` with outcome
@@ -707,14 +778,16 @@ impl Core {
         acc.deltas.instructions += expansion as u64;
     }
 
-    /// Commit one superblock: tick the PMU once with the accumulated
-    /// event deltas (per-op cycle deltas telescope into `now − start`).
-    /// Under the [`Core::block_ready`] guard the combined tick cannot
-    /// wrap a counter, so skipping the per-op ticks is observably exact;
-    /// committing a *partial* block (a trap landed mid-block, after some
-    /// ops applied) is exact for the same reason — counters are additive
-    /// and the partial bound is below the full block's. The accumulator
-    /// is left dirty; the next [`Core::block_begin_in`] resets it.
+    /// Commit one superblock, or its ops up to the one that reached the
+    /// deadline: tick the PMU once with the accumulated event deltas
+    /// (per-op cycle deltas telescope into `now − start`). This is
+    /// observably exact. Counters are additive, and every op before the
+    /// committed one stayed below the deadline, so no counter wrapped
+    /// before it. The combined tick therefore fires exactly the counters
+    /// the per-op path fires at the last op and leaves the same values.
+    /// A trap mid-block commits a partial block the same way. The
+    /// accumulator is left dirty; the next [`Core::block_begin_in`]
+    /// resets it.
     pub fn retire_block(&mut self, acc: &mut BlockAcc) -> RetireInfo {
         let cycles = self.current_centi() / 100 - acc.start_centi / 100;
         let instructions;
@@ -728,7 +801,10 @@ impl Core {
             self.pmu
                 .tick_batched_simple(cycles, instructions, self.mode)
         };
-        debug_assert_eq!(overflow, 0, "guard retire_block with block_ready");
+        debug_assert!(
+            overflow == 0 || self.current_centi() >= acc.deadline,
+            "a counter wrapped inside a block before its deadline"
+        );
         RetireInfo {
             cycles,
             instructions,
@@ -766,7 +842,7 @@ impl Core {
 /// pass emits: ≤ [`MAX_FUSED_BATCH`] ops, ≤ 1 scalar (≤ 2-line) memory
 /// reference, ≤ 1 branch, no vector ops, ≤ 1 architectural FLOP.
 /// Overestimating only costs an occasional unnecessary per-op fallback
-/// near a counter wrap — exactly where the unfused watermark path
+/// near a counter wrap — exactly where the unfused batched path
 /// degrades too.
 fn fused_ub_static(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64, with_mem: bool) -> u64 {
     let max_ops = MAX_FUSED_BATCH as u64;
@@ -804,36 +880,35 @@ fn fused_ub_static(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64, with_mem
     max_ops * per_op_cycles + branch_cycles + mem_cycles + events + 16
 }
 
-/// Conservative per-machine-op event bound for superblock retire:
-/// worst-case whole cycles plus instruction *and* vector-instruction
-/// events at maximum ISA expansion. FLOP, branch, and memory events are
-/// bounded separately per unit by [`Core::block_ready`].
-fn block_op_ub(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64) -> u64 {
-    let max_exp = isa.max_expansion();
-    let per_op_cycles = (spec.timing.max_inv_tp() + slot_unit * max_exp) / 100 + 1;
-    per_op_cycles + 2 * max_exp
-}
-
-/// Conservative extra events per scalar (≤ 2-line) memory reference in a
-/// superblock, excluding the dynamic DRAM queue backlog: per line the
-/// full hit/miss latency chain plus an access/miss/L2-miss event and
-/// `LINE_BYTES` of DRAM traffic.
-fn block_mem_ub(spec: &PlatformSpec) -> u64 {
+/// Upper bound on the whole cycles one superblock op (≤ one scalar
+/// memory reference of ≤ 2 lines) can take, DRAM queue delay excluded:
+/// the worst unit and issue-slot cost, a taken branch's bubble plus the
+/// mispredict penalty (twice, covering both the in-order stall and the
+/// out-of-order pipeline-restart floor), and per line the full
+/// L1/L2/DRAM latency chain plus the load-use penalty.
+fn block_cycles_ub(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64) -> u64 {
     let caches = &spec.caches;
-    let line_cycles = caches.l1d.latency as u64
-        + caches.l2.latency as u64
-        + caches.dram_latency as u64
-        + Core::dram_occupancy_bound(caches)
-        + 1;
-    2 * (line_cycles + 3 + crate::cache::LINE_BYTES) + spec.load_use_penalty as u64
+    (spec.timing.max_inv_tp() + slot_unit * isa.max_expansion()) / 100
+        + 1
+        + spec.taken_branch_bubble as u64
+        + 2 * spec.branch_mispredict_penalty as u64
+        + 2 * (caches.l1d.latency as u64
+            + caches.l2.latency as u64
+            + caches.dram_latency as u64
+            + 1)
+        + spec.load_use_penalty as u64
 }
 
-/// Conservative extra events per branch in a superblock: taken-fetch
-/// bubble plus the mispredict penalty (twice, covering both the in-order
-/// stall and the out-of-order pipeline-restart floor) plus the branch
-/// and branch-miss events.
-fn block_branch_ub(spec: &PlatformSpec) -> u64 {
-    spec.taken_branch_bubble as u64 + 2 * spec.branch_mispredict_penalty as u64 + 2
+/// Upper bound on the non-cycle events one superblock op can add to a
+/// single counter: instruction and vector-instruction events at maximum
+/// ISA expansion, a branch and its miss, the FP events of
+/// [`MAX_OP_FLOPS`], and for a scalar reference (≤ 2 lines) per line an
+/// access, a miss, an L2 miss and `LINE_BYTES` of DRAM traffic.
+fn block_event_ub(spec: &PlatformSpec, isa: &IsaModel) -> u64 {
+    2 * isa.max_expansion()
+        + 2
+        + MAX_OP_FLOPS as u64 * spec.fp_event_percent as u64 / 100
+        + 2 * (3 + crate::cache::LINE_BYTES)
 }
 
 #[cfg(test)]
@@ -1182,16 +1257,10 @@ mod tests {
                         MachineOp::simple(OpClass::Move, i % 64 + 2),
                     ],
                 };
-                let mem_refs = ops.iter().filter(|o| o.mem.is_some()).count() as u32;
-                let branches = ops
-                    .iter()
-                    .filter(|o| matches!(o.class, OpClass::Branch))
-                    .count() as u32;
-                let flops: u32 = ops.iter().map(|o| o.flops).sum();
-                assert!(blocked.block_ready(ops.len() as u32, mem_refs, branches, flops));
-                blocked.block_begin_in(&mut acc);
+                blocked.block_begin_in(&mut acc, ops.len() as u32);
                 for op in &ops {
-                    // Exercise all three apply lanes.
+                    // Exercise all three apply lanes. No counter is near
+                    // its wrap, so no op reaches the deadline.
                     if matches!(op.class, OpClass::Branch) {
                         blocked.block_apply_branch(op.pc, op.taken, &mut acc);
                     } else if op.mem.is_none() && op.flops == 0 && x.is_multiple_of(2) {
@@ -1199,6 +1268,7 @@ mod tests {
                     } else {
                         blocked.block_apply(op, &mut acc);
                     }
+                    assert!(!blocked.block_reached(&acc), "{} step {i}", spec.name);
                 }
                 let info = blocked.retire_block(&mut acc);
                 assert_eq!(info.overflow, 0);
@@ -1238,21 +1308,60 @@ mod tests {
         }
     }
 
-    /// Near a programmed overflow, `block_ready` must refuse the block
-    /// (same degradation rule as `fused_ready`), and a partial commit
-    /// after a hypothetical mid-block trap stays exact.
+    /// A near cycle counter turns into a block deadline that the op
+    /// wrapping it — and no earlier op — reaches; committing through
+    /// that op fires the overflow. A block that cannot reach the
+    /// deadline needs no check at all, while a near non-cycle counter or
+    /// disabled batching makes every op reach it (commit per op).
     #[test]
-    fn block_ready_refuses_near_overflow() {
+    fn block_deadline_lands_on_the_wrapping_op() {
         let mut c = x60();
         c.pmu_mut()
             .set_event(3, Some(crate::events::HwEvent::CpuCycles));
         c.pmu_mut().set_irq_enable(3, true);
         c.pmu_mut().write(3, (-8i64) as u64);
-        assert!(!c.block_ready(6, 1, 1, 2));
+        let mut serial = c.clone();
+        let mut acc = BlockAcc::default();
+        c.block_begin_in(&mut acc, 64);
+        let mut pc = 0;
+        loop {
+            let op = MachineOp::simple(OpClass::IntMul, pc);
+            c.block_apply_class(op.class, &mut acc);
+            let fired = serial.retire(&op).overflow;
+            if c.block_reached(&acc) {
+                assert_eq!(c.retire_block(&mut acc).overflow, fired);
+                assert_ne!(fired, 0, "the deadline op is the wrapping op");
+                break;
+            }
+            assert_eq!(fired, 0, "op {pc} wrapped before the deadline");
+            pc += 1;
+        }
+        assert_eq!(c.pmu().read(3), serial.pmu().read(3));
+        assert_eq!(c.cycles(), serial.cycles());
+
         c.pmu_mut().write(3, (-10_000_000i64) as u64);
-        assert!(c.block_ready(6, 1, 1, 2));
+        c.block_begin_in(&mut acc, 64);
+        assert_eq!(
+            acc.deadline,
+            u64::MAX,
+            "the block ends long before the wrap"
+        );
+        c.retire_block(&mut acc);
+
+        c.pmu_mut()
+            .set_event(4, Some(crate::events::HwEvent::Instructions));
+        c.pmu_mut().write(4, (-1_000i64) as u64);
+        c.block_begin_in(&mut acc, 4);
+        c.block_apply_class(OpClass::IntAlu, &mut acc);
+        assert!(c.block_reached(&acc));
+        c.retire_block(&mut acc);
+
+        c.pmu_mut().set_event(4, None);
         c.set_pmu_batching(false);
-        assert!(!c.block_ready(6, 1, 1, 2));
+        c.block_begin_in(&mut acc, 4);
+        c.block_apply_class(OpClass::IntAlu, &mut acc);
+        assert!(c.block_reached(&acc));
+        c.retire_block(&mut acc);
     }
 
     /// Near a programmed overflow, `fused_ready` must refuse the batch so
@@ -1286,7 +1395,7 @@ mod tests {
         let mut blocked = x60();
         let mut serial = x60();
         let mut acc = BlockAcc::default();
-        blocked.block_begin_in(&mut acc);
+        blocked.block_begin_in(&mut acc, 2);
         for pc in 0..2u64 {
             blocked.block_apply(&MachineOp::simple(OpClass::IntAlu, pc), &mut acc);
             serial.retire(&MachineOp::simple(OpClass::IntAlu, pc));

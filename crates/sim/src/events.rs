@@ -64,6 +64,21 @@ impl HwEvent {
         )
     }
 
+    /// Whether this event advances with the core clock while the core is
+    /// in `mode` (`CpuCycles` always; a mode-cycle event only in its own
+    /// mode). The PMU turns the distance-to-wrap of such counters into a
+    /// cycle deadline for superblock retire.
+    pub fn counts_cycles_in(self, mode: crate::core::PrivMode) -> bool {
+        use crate::core::PrivMode;
+        match self {
+            HwEvent::CpuCycles => true,
+            HwEvent::UModeCycles => mode == PrivMode::User,
+            HwEvent::SModeCycles => mode == PrivMode::Supervisor,
+            HwEvent::MModeCycles => mode == PrivMode::Machine,
+            _ => false,
+        }
+    }
+
     /// Short stable name (used in reports and CSV output).
     pub fn name(self) -> &'static str {
         match self {
@@ -109,8 +124,8 @@ pub struct EventDeltas {
 impl EventDeltas {
     /// Sum of every delta field. This upper-bounds the advance of *any*
     /// single counter for this step (each counter observes exactly one
-    /// event source), which is what the PMU's exact-overflow watermark
-    /// compares against — see [`crate::pmu::Pmu::tick_batched`].
+    /// event source), which is what the PMU bounds its *far* counters
+    /// with — see [`crate::pmu::Pmu`].
     #[inline]
     pub fn total(&self) -> u64 {
         self.cycles

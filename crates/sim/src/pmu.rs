@@ -20,22 +20,54 @@ pub const COUNTER_INSTRET: usize = 2;
 /// First generic HPM counter index.
 pub const FIRST_HPM: usize = 3;
 
+/// Distance-to-wrap below which an armed counter is *near*: tracked on
+/// its own (event and distance) instead of under the shared total bound.
+/// A sampling counter armed at `-period` is near; a counting counter
+/// started at zero is far.
+pub const NEAR_WRAP: u64 = 1 << 32;
+
+/// Headroom every counter keeps while the PMU is *quiet* (see
+/// [`Pmu::quiet`]): far more than any one superblock can use up.
+pub const QUIET_HEADROOM: u64 = 1 << 40;
+
+/// How many more events the PMU can absorb without any counter wrapping,
+/// split the way the core's superblock deadline needs it (see
+/// [`Pmu::block_budget`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockBudget {
+    /// Cycles every near counter that counts cycles in the current mode
+    /// can still absorb (`u64::MAX` when there is none).
+    pub cycles: u64,
+    /// Events of any kind that every *other* counter — the far ones and
+    /// the near non-cycle ones — can still absorb.
+    pub events: u64,
+}
+
 /// The PMU register state of one hart.
 ///
-/// # Batched ticking and the exact-overflow watermark
+/// # Batched ticking and the near/far invariant
 ///
 /// Scanning all 32 counters on every retired op dominates the simulator's
 /// retire cost, so the PMU batches: per-op [`EventDeltas`] accumulate into
 /// a `pending` bundle and are only *applied* (the full per-counter scan)
-/// when something could observe the difference. The invariant that makes
-/// this exact rather than approximate is the **watermark**: the minimum
-/// distance-to-wrap across every counter that is implemented, uninhibited,
-/// and observing an event. Because each counter advances by at most
-/// `EventDeltas::total()` per op, `pending_total <= watermark` guarantees
-/// no counter can wrap while deltas sit in `pending` — so overflow
-/// interrupts still fire on exactly the op that wraps (the op that would
-/// cross the watermark is ticked individually after a flush). Reads fold
-/// `pending` in lazily; every mutator flushes first.
+/// when something could observe the difference. Every counter that is
+/// implemented, uninhibited and observing an event is *armed*, and the
+/// plan recomputed on an empty batch sorts the armed counters in two:
+///
+/// - **near** counters (distance to wrap below [`NEAR_WRAP`]) are kept
+///   with their own event and distance, and each batched op is checked
+///   against exactly the events it adds to that counter;
+/// - **far** counters share one bound: the smallest far distance, which
+///   `pending_total` (the sum of every pending event, an upper bound on
+///   any one counter's pending advance) must not exceed.
+///
+/// So `pending.get(ev) <= dist` for every near counter and
+/// `pending_total <= far` together guarantee no counter can wrap while
+/// deltas sit in `pending`. An op that would break either is ticked on
+/// its own after a flush, so overflow interrupts still fire on exactly
+/// the op that wraps, and only an op that really can wrap a near counter
+/// pays for it. Reads fold `pending` in lazily; every mutator flushes
+/// first.
 #[derive(Debug, Clone)]
 pub struct Pmu {
     counters: [u64; NUM_COUNTERS],
@@ -52,15 +84,33 @@ pub struct Pmu {
     num_hpm: usize,
     /// Deltas accumulated since the last flush (all in `pending_mode`).
     pending: EventDeltas,
-    /// Upper bound on any single counter's pending advance.
+    /// Sum of every pending delta.
     pending_total: u64,
     /// Privilege mode the pending deltas were accumulated in (a mode
-    /// switch forces a flush, so one batch never spans modes).
+    /// switch forces a flush and a new plan, so one batch never spans
+    /// modes).
     pending_mode: PrivMode,
-    /// Min distance-to-wrap over armed counters at the last flush.
-    watermark: u64,
-    /// False after counter/state mutation; forces recompute before use.
-    watermark_valid: bool,
+    /// Near counters at the last plan: event and distance to wrap.
+    near: [(HwEvent, u64); NUM_COUNTERS],
+    near_len: usize,
+    /// Smallest distance among near counters counting cycles in
+    /// `pending_mode` (`u64::MAX` if none) — the scalar lane's check.
+    near_cycles: u64,
+    /// Smallest distance among near `Instructions` counters.
+    near_instructions: u64,
+    /// Smallest distance among far counters (`u64::MAX` if none).
+    far: u64,
+    /// Smallest distance among the far counters and the near counters
+    /// that do not count cycles (frozen mode-cycle counters aside) —
+    /// the per-counter event headroom behind [`BlockBudget::events`].
+    far_events: u64,
+    /// `pending_total` below which the plan is quiet (0: never).
+    quiet_below: u64,
+    /// `min(far, near_cycles, near_instructions)`: the scalar lane's
+    /// one-compare check, exact whenever no counter is near.
+    simple_room: u64,
+    /// False after counter/state mutation; forces a new plan before use.
+    plan_valid: bool,
     /// When false, `tick_batched` degrades to the per-op scan (the
     /// pre-batching behaviour; kept for baseline measurements).
     batched: bool,
@@ -80,8 +130,15 @@ impl Pmu {
             pending: EventDeltas::default(),
             pending_total: 0,
             pending_mode: PrivMode::User,
-            watermark: 0,
-            watermark_valid: false,
+            near: [(HwEvent::CpuCycles, 0); NUM_COUNTERS],
+            near_len: 0,
+            near_cycles: 0,
+            near_instructions: 0,
+            far: 0,
+            far_events: 0,
+            quiet_below: 0,
+            simple_room: 0,
+            plan_valid: false,
             batched: true,
         }
     }
@@ -92,7 +149,7 @@ impl Pmu {
     pub fn set_batched(&mut self, on: bool) {
         if !on {
             self.flush();
-            self.watermark_valid = false;
+            self.plan_valid = false;
         }
         self.batched = on;
     }
@@ -130,7 +187,7 @@ impl Pmu {
         );
         self.flush();
         self.events[idx] = ev;
-        self.watermark_valid = false;
+        self.plan_valid = false;
     }
 
     /// Read a counter. Pending batched deltas are folded in lazily, so
@@ -141,7 +198,7 @@ impl Pmu {
             return base;
         }
         match self.event_of(idx) {
-            // Cannot wrap: the watermark invariant bounds the pending
+            // Cannot wrap: the near/far invariant bounds the pending
             // contribution below every counter's distance to overflow.
             Some(ev) => base + self.pending.get(ev, self.pending_mode),
             None => base,
@@ -153,7 +210,7 @@ impl Pmu {
     pub fn write(&mut self, idx: usize, value: u64) {
         self.flush();
         self.counters[idx] = value;
-        self.watermark_valid = false;
+        self.plan_valid = false;
     }
 
     /// The `mcountinhibit` register.
@@ -165,7 +222,7 @@ impl Pmu {
     pub fn set_inhibit(&mut self, value: u32) {
         self.flush();
         self.inhibit = value;
-        self.watermark_valid = false;
+        self.plan_valid = false;
     }
 
     /// Enable/disable the overflow interrupt for a counter.
@@ -202,13 +259,13 @@ impl Pmu {
     pub fn tick(&mut self, deltas: &EventDeltas, mode: PrivMode) -> u32 {
         self.flush();
         let fired = self.tick_now(deltas, mode);
-        self.watermark_valid = false;
+        self.plan_valid = false;
         fired
     }
 
     /// Advance counters by one retire step, deferring the per-counter
-    /// scan while no counter can possibly wrap (see the type-level docs
-    /// for the watermark invariant). Semantically identical to calling
+    /// scan while no counter can wrap (see the type-level docs for the
+    /// near/far invariant). Semantically identical to calling
     /// [`Pmu::tick`] per op: counter reads and the op at which an
     /// overflow interrupt fires are bit-exact.
     #[inline]
@@ -216,27 +273,31 @@ impl Pmu {
         if !self.batched {
             return self.tick(deltas, mode);
         }
-        if mode != self.pending_mode {
-            self.flush();
-            self.pending_mode = mode;
-        }
-        if !self.watermark_valid {
-            self.flush();
-            self.recompute_watermark();
-        }
+        self.normalize(mode);
         let op_total = deltas.total();
-        if self.pending_total.saturating_add(op_total) > self.watermark {
-            // This op *might* wrap a counter: drain the batch (which by
-            // the invariant cannot wrap), then tick the op individually
-            // so the overflow is attributed to exactly this retire.
+        if self.pending_total.saturating_add(op_total) > self.far
+            || (self.near_len != 0 && self.near_wraps(deltas))
+        {
+            // This op can wrap a counter: drain the batch (which by the
+            // invariant cannot wrap), then tick the op on its own so the
+            // overflow is attributed to exactly this retire.
             self.flush();
             let fired = self.tick_now(deltas, mode);
-            self.recompute_watermark();
+            self.plan();
             return fired;
         }
         self.pending.accumulate(deltas);
         self.pending_total += op_total;
         0
+    }
+
+    /// Whether adding `deltas` to the batch would wrap a near counter.
+    #[inline]
+    fn near_wraps(&self, deltas: &EventDeltas) -> bool {
+        let mode = self.pending_mode;
+        self.near[..self.near_len]
+            .iter()
+            .any(|&(ev, dist)| self.pending.get(ev, mode) + deltas.get(ev, mode) > dist)
     }
 
     /// Whether a batch advancing every counter by at most `ub` events can
@@ -251,33 +312,76 @@ impl Pmu {
     /// that wraps.
     ///
     /// Performs the same batch normalization `tick_batched` would (mode
-    /// flush, watermark recompute), which is observably transparent.
+    /// flush, new plan), which is observably transparent.
     #[inline]
     pub fn batch_headroom(&mut self, ub: u64, mode: PrivMode) -> bool {
         if !self.batched {
             return false;
         }
-        if mode != self.pending_mode {
-            self.flush();
-            self.pending_mode = mode;
+        self.normalize(mode);
+        self.pending_total.saturating_add(ub) <= self.far
+            && self.near[..self.near_len]
+                .iter()
+                .all(|&(ev, dist)| self.pending.get(ev, mode).saturating_add(ub) <= dist)
+    }
+
+    /// The headroom for one superblock retired in `mode` as deferred
+    /// deltas committed by a single [`Pmu::tick_batched`] (see
+    /// [`crate::Core::block_begin_in`], which turns it into a cycle
+    /// deadline). A batch whose cycles stay within `cycles` and whose
+    /// per-counter advance stays within `events` cannot wrap any counter.
+    ///
+    /// Normalizes the batch like [`Pmu::tick_batched`], and also flushes
+    /// when the far headroom has shrunk below half of [`NEAR_WRAP`], so a
+    /// fresh plan (re-sorting the counters the batch brought close)
+    /// restores at least that much. Disabled batching has no headroom.
+    #[inline(always)]
+    pub fn block_budget(&mut self, mode: PrivMode) -> BlockBudget {
+        if !self.batched {
+            return BlockBudget {
+                cycles: 0,
+                events: 0,
+            };
         }
-        if !self.watermark_valid {
+        self.normalize(mode);
+        if self.far - self.pending_total < NEAR_WRAP / 2 {
             self.flush();
-            self.recompute_watermark();
+            self.plan();
         }
-        self.pending_total.saturating_add(ub) <= self.watermark
+        // `pending_total` bounds every counter's pending advance.
+        BlockBudget {
+            cycles: self.near_cycles - self.pending.cycles,
+            events: self.far_events.saturating_sub(self.pending_total),
+        }
+    }
+
+    /// Whether no counter that can advance in `mode` is near its wrap
+    /// and every counter can still absorb [`QUIET_HEADROOM`] events — a
+    /// counting or roofline run, not a sampling one. The core's shortcut
+    /// past [`Pmu::block_budget`]; `false` also whenever the plan is
+    /// stale or batching is off.
+    #[inline(always)]
+    pub fn quiet(&self, mode: PrivMode) -> bool {
+        self.plan_valid && mode == self.pending_mode && self.pending_total < self.quiet_below
     }
 
     /// Scalar fast lane of [`Pmu::tick_batched`] for ops that only
     /// produce cycle/instruction events (no memory, branch, or FP
     /// deltas) — skips building and scanning the full [`EventDeltas`].
+    /// Such an op advances only the near counters counting cycles or
+    /// instructions, so those two compares replace the near scan — and
+    /// while the whole batch stays within every bound, one compare does.
     #[inline]
     pub fn tick_batched_simple(&mut self, cycles: u64, instructions: u64, mode: PrivMode) -> u32 {
         let op_total = cycles + instructions;
+        let total = self.pending_total.saturating_add(op_total);
         if self.batched
-            && self.watermark_valid
+            && self.plan_valid
             && mode == self.pending_mode
-            && self.pending_total.saturating_add(op_total) <= self.watermark
+            && (total <= self.simple_room
+                || (self.pending.cycles + cycles <= self.near_cycles
+                    && self.pending.instructions + instructions <= self.near_instructions
+                    && total <= self.far))
         {
             self.pending.cycles += cycles;
             self.pending.instructions += instructions;
@@ -292,9 +396,25 @@ impl Pmu {
         self.tick_batched(&deltas, mode)
     }
 
+    /// Bring the batch to `mode` with a valid plan: a mode switch
+    /// flushes (one batch never spans modes) and re-plans, since which
+    /// near counters count cycles depends on the mode.
+    #[inline]
+    fn normalize(&mut self, mode: PrivMode) {
+        if mode != self.pending_mode {
+            self.flush();
+            self.pending_mode = mode;
+            self.plan_valid = false;
+        }
+        if !self.plan_valid {
+            self.flush();
+            self.plan();
+        }
+    }
+
     /// Apply any pending batched deltas to the counters. Advancing the
-    /// counters shrinks their distance-to-wrap, so the watermark is
-    /// invalidated here — callers on the tick path recompute it.
+    /// counters shrinks their distance-to-wrap, so the plan is
+    /// invalidated here — callers on the tick path re-plan.
     fn flush(&mut self) {
         if self.pending_total == 0 {
             return;
@@ -303,26 +423,53 @@ impl Pmu {
         let mode = self.pending_mode;
         self.pending = EventDeltas::default();
         self.pending_total = 0;
-        self.watermark_valid = false;
+        self.plan_valid = false;
         let fired = self.tick_now(&pending, mode);
-        debug_assert_eq!(fired, 0, "watermark invariant: a batch never wraps");
+        debug_assert_eq!(fired, 0, "near/far invariant: a batch never wraps");
     }
 
-    /// Recompute the minimum distance-to-wrap across armed counters.
-    fn recompute_watermark(&mut self) {
-        debug_assert_eq!(self.pending_total, 0, "recompute only on empty batch");
-        let mut min_dist = u64::MAX;
+    /// Sort the armed counters into near and far (see the type docs).
+    #[inline(never)]
+    fn plan(&mut self) {
+        debug_assert_eq!(self.pending_total, 0, "plan only on an empty batch");
+        let mode = self.pending_mode;
+        self.near_len = 0;
+        self.near_cycles = u64::MAX;
+        self.near_instructions = u64::MAX;
+        self.far = u64::MAX;
+        self.far_events = u64::MAX;
         for idx in 0..NUM_COUNTERS {
             if !self.is_implemented(idx) || self.inhibit >> idx & 1 == 1 {
                 continue;
             }
-            if self.event_of(idx).is_none() {
+            let Some(ev) = self.event_of(idx) else {
+                continue;
+            };
+            let dist = u64::MAX - self.counters[idx];
+            if dist >= NEAR_WRAP {
+                self.far = self.far.min(dist);
+                self.far_events = self.far_events.min(dist);
                 continue;
             }
-            min_dist = min_dist.min(u64::MAX - self.counters[idx]);
+            self.near[self.near_len] = (ev, dist);
+            self.near_len += 1;
+            if ev.counts_cycles_in(mode) {
+                self.near_cycles = self.near_cycles.min(dist);
+            } else if !ev.is_mode_cycle() {
+                // Another mode's cycle counter is frozen in this one.
+                self.far_events = self.far_events.min(dist);
+                if ev == HwEvent::Instructions {
+                    self.near_instructions = self.near_instructions.min(dist);
+                }
+            }
         }
-        self.watermark = min_dist;
-        self.watermark_valid = true;
+        self.simple_room = self.far.min(self.near_cycles).min(self.near_instructions);
+        self.quiet_below = if self.near_cycles == u64::MAX && self.far_events == self.far {
+            self.far.saturating_sub(QUIET_HEADROOM)
+        } else {
+            0
+        };
+        self.plan_valid = true;
     }
 
     /// The immediate per-counter scan (the pre-batching `tick` body).
@@ -457,9 +604,9 @@ mod tests {
     }
 
     /// Regression test: flushing on a privilege-mode switch shrinks the
-    /// counters' distance-to-wrap, so the watermark must be recomputed —
-    /// a stale watermark once let a later batch wrap inside `flush`,
-    /// losing the overflow interrupt. Batched and unbatched PMUs must
+    /// counters' distance-to-wrap, so the plan must be recomputed — a
+    /// stale bound once let a later batch wrap inside `flush`, losing
+    /// the overflow interrupt. Batched and unbatched PMUs must
     /// agree on counter values and on the exact tick where the overflow
     /// fires, even with frequent mode switches.
     #[test]
@@ -502,6 +649,36 @@ mod tests {
         }
         assert_eq!(batched.read(COUNTER_CYCLE), exact.read(COUNTER_CYCLE));
         assert_eq!(batched.read(COUNTER_INSTRET), exact.read(COUNTER_INSTRET));
+    }
+
+    /// A counting counter far from its wrap costs the batch nothing; a
+    /// near sampling counter is tracked by its own event. The block
+    /// budget gives a near cycle counter's headroom as cycles (none in a
+    /// mode it does not count), and a near non-cycle counter's as
+    /// events.
+    #[test]
+    fn block_budget_tracks_near_counters_by_event() {
+        let mut p = Pmu::new(8);
+        let b = p.block_budget(PrivMode::User);
+        assert_eq!(b.cycles, u64::MAX, "no near counter");
+        assert!(b.events >= NEAR_WRAP, "only far counters: {b:?}");
+
+        p.set_event(3, Some(HwEvent::UModeCycles));
+        p.write(3, (-1_000i64) as u64);
+        p.tick_batched(&deltas(300, 1), PrivMode::User);
+        let b = p.block_budget(PrivMode::User);
+        assert_eq!(b.cycles, 999 - 300);
+        assert!(b.events >= NEAR_WRAP / 2, "cycles alone: {b:?}");
+        assert_eq!(p.block_budget(PrivMode::Supervisor).cycles, u64::MAX);
+
+        p.set_event(4, Some(HwEvent::L1dMiss));
+        p.write(4, (-50i64) as u64);
+        let b = p.block_budget(PrivMode::User);
+        assert_eq!((b.cycles, b.events), (999 - 300, 49));
+
+        p.set_batched(false);
+        let b = p.block_budget(PrivMode::User);
+        assert_eq!((b.cycles, b.events), (0, 0), "unbatched: no headroom");
     }
 
     /// The scalar fast lane must agree with the full batched path too.

@@ -215,6 +215,40 @@ impl RegallocDynamics {
     }
 }
 
+/// Runtime superblock statistics of the threaded engine: how often
+/// blocks ran, how often a counter wrap cut one, and how many machine
+/// ops they retired (the rest of [`ExecStats::machine_ops`] retired one
+/// by one, outside blocks). Like [`FusionDynamics`], tracked outside
+/// [`ExecStats`] on purpose — superblocks must leave every observable
+/// bit-identical, and these counters exist to report how much of the
+/// dynamic stream they covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockDynamics {
+    /// Superblock entries.
+    pub entered: u64,
+    /// Commits cut at the op whose retire wrapped a counter (one per
+    /// overflow interrupt raised inside a block).
+    pub cut_at_wrap: u64,
+    /// Machine ops retired inside superblocks.
+    pub block_ops: u64,
+}
+
+impl BlockDynamics {
+    /// Machine ops of `total_machine_ops` (pass [`ExecStats::machine_ops`]
+    /// of a threaded-engine run) retired one by one, outside blocks.
+    pub fn single_ops(&self, total_machine_ops: u64) -> u64 {
+        total_machine_ops - self.block_ops
+    }
+
+    /// Fraction of `total_machine_ops` retired inside superblocks.
+    pub fn block_share(&self, total_machine_ops: u64) -> f64 {
+        if total_machine_ops == 0 {
+            return 0.0;
+        }
+        self.block_ops as f64 / total_machine_ops as f64
+    }
+}
+
 /// The execution engine. Owns the core, optional perf kernel, guest
 /// memory, and the roofline runtime.
 pub struct Vm<'m> {
@@ -262,6 +296,8 @@ pub struct Vm<'m> {
     pub(crate) fused_dyn: FusionDynamics,
     /// Runtime copy-traffic split (not part of the observable contract).
     pub(crate) regalloc_dyn: RegallocDynamics,
+    /// Runtime superblock coverage (not part of the observable contract).
+    block_dyn: BlockDynamics,
     /// Trap-site note from the engine loops: the pc of the faulting op,
     /// set on the cold error path only (see [`Vm::trap_info`]).
     trap_pc: Option<u64>,
@@ -331,6 +367,7 @@ impl<'m> Vm<'m> {
             regalloc: true,
             fused_dyn: FusionDynamics::default(),
             regalloc_dyn: RegallocDynamics::default(),
+            block_dyn: BlockDynamics::default(),
             trap_pc: None,
             last_trap: None,
         }
@@ -397,6 +434,12 @@ impl<'m> Vm<'m> {
     /// zero on the reference engine or with register allocation off).
     pub fn regalloc_dynamics(&self) -> RegallocDynamics {
         self.regalloc_dyn
+    }
+
+    /// Runtime superblock coverage accumulated so far (zeroes outside
+    /// the threaded engine).
+    pub fn block_dynamics(&self) -> BlockDynamics {
+        self.block_dyn
     }
 
     /// The flat decoded form of the module, building (and caching) it on
@@ -697,8 +740,9 @@ impl<'m> Vm<'m> {
     /// Retire one machine op either immediately (`DEFER = false`: the
     /// ordinary tick-per-op path, overflow delivered at the op's pc) or
     /// into the open superblock accumulator (`DEFER = true`: timing
-    /// applies now, the PMU tick is deferred to the block commit, which
-    /// the block guard proved cannot overflow).
+    /// applies now, the PMU tick is deferred to the block commit — or,
+    /// when this op reaches the block's deadline, to a commit through
+    /// it, see [`Vm::block_check`]).
     #[inline]
     pub(crate) fn retire_one<const DEFER: bool>(&mut self, op: MachineOp) {
         if DEFER {
@@ -721,18 +765,42 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// [`Vm::retire_one`] for memory/branch/FLOP-free scalar classes
-    /// (skips `MachineOp` construction on the deferred lane).
+    /// [`Vm::retire_class`] over memory/branch/FLOP-free scalar classes.
+    /// A multi-op template checks the deadline after each of its ops.
     #[inline]
     pub(crate) fn retire_classes<const DEFER: bool>(&mut self, classes: &[OpClass], pcs: &[u64]) {
-        if DEFER {
-            self.stats.machine_ops += classes.len() as u64;
-            self.core.block_apply_classes(classes, &mut self.block_acc);
-        } else {
-            for (class, pc) in classes.iter().zip(pcs) {
-                self.retire_d(MachineOp::simple(*class, *pc));
+        for (class, pc) in classes.iter().zip(pcs) {
+            self.retire_class::<DEFER>(*class, *pc);
+            if DEFER {
+                self.block_check(*pc);
             }
         }
+    }
+
+    /// Inside a superblock, after an op at `pc`: when it reached the
+    /// block's deadline, commit the block through this op as one tick,
+    /// deliver any overflow at this op (exactly where the per-op path
+    /// delivers it — see [`mperf_sim::Core::retire_block`]), and reopen
+    /// the accumulator for the rest of the block against a fresh
+    /// deadline (the handler re-armed the counter and burned cycles).
+    /// The driver checks after every template; templates retiring
+    /// several machine ops check after each.
+    #[inline(always)]
+    pub(crate) fn block_check(&mut self, pc: u64) {
+        if self.block_acc.needs_check() && self.core.block_reached(&self.block_acc) {
+            self.block_cut(pc);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn block_cut(&mut self, pc: u64) {
+        let info = self.core.retire_block(&mut self.block_acc);
+        if info.overflow != 0 {
+            self.block_dyn.cut_at_wrap += 1;
+            self.deliver_overflow(pc, info.overflow, Engine::Threaded);
+        }
+        self.core.block_restart_in(&mut self.block_acc);
     }
 
     /// Build the callchain (innermost frame first) into the reusable
@@ -2281,16 +2349,18 @@ impl<'m> Vm<'m> {
     /// (see [`crate::threaded`]), with no `match` on op kind and no enum
     /// payload unpacking on the hot path. On top of the template stream,
     /// straight-line superblocks retire as one PMU batch: when the next
-    /// ip starts a block and the block-entry guard holds (fuel for the
-    /// whole block, [`mperf_sim::Core::block_ready`] headroom), every
+    /// ip starts a block and the whole block fits the fuel, every
     /// covered template applies its timing eagerly but defers its PMU
     /// tick into the VM's [`BlockAcc`], committed once by
-    /// [`mperf_sim::Core::retire_block`]. A trap mid-block commits the
-    /// partial accumulator first (counters are additive and the partial
-    /// bound is below the guarded full bound, so this stays bit-exact);
-    /// when the guard fails, the block's templates run one by one
-    /// through their tick-per-op entry points — identical to the decoded
-    /// engine op for op.
+    /// [`mperf_sim::Core::retire_block`]. After each template the driver
+    /// compares the clock against the block's deadline; the op that
+    /// reaches it commits the block through itself and takes the
+    /// overflow there ([`Vm::block_check`]), so sampling runs stay on
+    /// this path. A trap mid-block commits the partial accumulator first
+    /// (counters are additive and nothing wrapped before the trap, so
+    /// this stays bit-exact). Without the fuel, the block's templates
+    /// run one by one through their tick-per-op entry points — identical
+    /// to the decoded engine op for op.
     fn run_threaded(
         &mut self,
         dec: &DecodedModule,
@@ -2322,38 +2392,21 @@ impl<'m> Vm<'m> {
             let bi = unsafe { *tf.block_at.get_unchecked(ip) };
             if bi != u32::MAX {
                 let b = *unsafe { tf.blocks.get_unchecked(bi as usize) };
-                if self.stats.machine_ops + b.machine_ops as u64 <= self.fuel
-                    && self
-                        .core
-                        .block_ready(b.machine_ops, b.mem_refs, b.branches, b.flops)
-                {
+                let entry_ops = self.stats.machine_ops;
+                if entry_ops + b.machine_ops as u64 <= self.fuel {
                     // Superblock fast path: one PMU tick for the whole
-                    // straight-line run.
-                    self.core.block_begin_in(&mut self.block_acc);
-                    let mut err = None;
-                    let mut last_ip;
-                    loop {
-                        let ipb = ctx.cur.ip as usize;
-                        last_ip = ipb;
-                        debug_assert!(ipb < tf.templates.len());
-                        let t = unsafe { tf.templates.get_unchecked(ipb) };
-                        ctx.cur.ip += 1;
-                        if let Err(e) = (t.block)(self, dec, tf, &t.args, &mut ctx) {
-                            err = Some(e);
-                            break;
-                        }
-                        if ipb as u32 >= b.last {
-                            break;
-                        }
-                    }
+                    // straight-line run (or one per counter wrap).
+                    self.block_dyn.entered += 1;
+                    self.core.block_begin_in(&mut self.block_acc, b.machine_ops);
+                    let (last_ip, err) = if self.block_acc.needs_check() {
+                        self.run_superblock::<true>(dec, tf, b.last, &mut ctx)
+                    } else {
+                        self.run_superblock::<false>(dec, tf, b.last, &mut ctx)
+                    };
+                    self.block_dyn.block_ops += self.stats.machine_ops - entry_ops;
                     let info = self.core.retire_block(&mut self.block_acc);
-                    if info.overflow != 0 {
-                        // Unreachable under `block_ready`; the release-
-                        // mode fallback delivers at the last executed pc
-                        // rather than losing the sample.
-                        let pc = dec.funcs[ctx.cur.func as usize].pcs[last_ip];
-                        self.deliver_overflow(pc, info.overflow, Engine::Threaded);
-                    }
+                    // Every op below the deadline: nothing can wrap here.
+                    debug_assert_eq!(info.overflow, 0, "block wrap not cut at its op");
                     if let Some(e) = err {
                         self.note_trap(dec.funcs[ctx.cur.func as usize].pcs[last_ip]);
                         return Err(e);
@@ -2370,6 +2423,38 @@ impl<'m> Vm<'m> {
                     self.note_trap(dec.funcs[ctx.cur.func as usize].pcs[ip]);
                     return Err(e);
                 }
+            }
+        }
+    }
+
+    /// Dispatch one superblock's templates through their deferred-tick
+    /// entries, from `ctx.cur.ip` through slot `last`. With `CHECK`, the
+    /// clock is compared against the block's deadline after every
+    /// template; without, the block provably ends before it. Returns the
+    /// last dispatched slot and the error that stopped the block, if any.
+    #[inline(always)]
+    fn run_superblock<const CHECK: bool>(
+        &mut self,
+        dec: &DecodedModule,
+        tf: &threaded::ThreadedFunc,
+        last: u32,
+        ctx: &mut TCtx,
+    ) -> (usize, Option<VmError>) {
+        loop {
+            let ip = ctx.cur.ip as usize;
+            debug_assert!(ip < tf.templates.len());
+            // SAFETY: blocks are formed over this template array, and the
+            // slots from a block's entry through `last` are inside it.
+            let t = unsafe { tf.templates.get_unchecked(ip) };
+            ctx.cur.ip += 1;
+            if let Err(e) = (t.block)(self, dec, tf, &t.args, ctx) {
+                return (ip, Some(e));
+            }
+            if CHECK && self.core.block_reached(&self.block_acc) {
+                self.block_cut(t.args.pc);
+            }
+            if ip as u32 >= last {
+                return (ip, None);
             }
         }
     }

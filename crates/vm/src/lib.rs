@@ -116,11 +116,11 @@
 //!
 //! - a fused batch retires through `Core::retire_fused*` only when
 //!   `Core::fused_ready*` proves no PMU counter can wrap within a
-//!   conservative event bound (the batched-PMU watermark, extended to
-//!   multi-op batches); otherwise the superinstruction **bails** —
-//!   executes its first constituent unfused and resumes at the original
-//!   next op, which is still present in the stream (fusion replaces
-//!   only the pattern's first slot);
+//!   conservative event bound (the batched PMU's per-counter headroom,
+//!   extended to multi-op batches); otherwise the superinstruction
+//!   **bails** — executes its first constituent unfused and resumes at
+//!   the original next op, which is still present in the stream
+//!   (fusion replaces only the pattern's first slot);
 //! - trap-capable interiors never fuse (`div`/`rem`) or pre-check
 //!   (loads/stores probe bounds and bail on a would-trap access), so
 //!   trap points and partial state match op-for-op; intermediate fuel
@@ -166,14 +166,13 @@
 //! **Superblock formation.** The compile pass partitions each function
 //! into straight-line superblocks: maximal runs of block-eligible
 //! templates (no calls/returns/vector memory, no interior jump
-//! targets), each with a precomputed shape (machine ops, scalar memory
-//! references, branches, FLOPs). At run time a block whose fuel and
-//! [`mperf_sim::Core::block_ready`] guards hold executes with eager
-//! timing but a *deferred* PMU tick: every template applies its
-//! cycle/cache/branch effects immediately (so `Core::cycles` stays
-//! exact mid-block) while event deltas accumulate in a `BlockAcc`,
-//! committed as one `Core::retire_block` tick — blocks of 6–20 ops tick
-//! the PMU once instead of per op. Fused sites inside a block execute
+//! targets), each with a precomputed machine-op count. At run time a
+//! block whose fuel guard holds executes with eager timing but a
+//! *deferred* PMU tick: every template applies its cycle/cache/branch
+//! effects immediately (so `Core::cycles` stays exact mid-block) while
+//! event deltas accumulate in a `BlockAcc`, committed as one
+//! `Core::retire_block` tick — blocks of 6–20 ops tick the PMU once
+//! instead of per op. Fused sites inside a block execute
 //! as their *constituent templates* (exactly their bail path — the
 //! block already batches the tick, so the one-tick fused retire adds
 //! nothing); outside blocks they run the fused fast path.
@@ -183,15 +182,28 @@
 //! counter files, and sampling IPs/callchains are bit-identical to the
 //! decoded and reference engines — property-tested across the full
 //! engine × fusion × regalloc matrix on all four platform models.
-//! Near a counter wrap `block_ready` refuses the block and the
-//! templates run one by one with per-op ticks (exact overflow
-//! attribution, as everywhere else); a trap mid-block commits the
-//! partial accumulator first (counters are additive, so the split is
-//! unobservable) and propagates.
+//! Sampling stays on the block path. At block entry
+//! [`mperf_sim::Core::block_begin_in`] turns the PMU's headroom into a
+//! commit-time deadline: the clock value at which a near cycle counter
+//! (the x60 `u_mode_cycle` leader, the c910 cycle sampler) wraps, or
+//! zero when a non-cycle counter is near its wrap (and `u64::MAX` when
+//! the block's worst case cannot reach it — counting and roofline runs
+//! — so the driver skips the checks). After every template (multi-op
+//! templates: every op) the driver compares the clock against it, and
+//! the op that reaches it commits the block through itself and takes
+//! the overflow interrupt at its own pc (`Vm::block_check`) before the
+//! block resumes against a fresh deadline. That is exact: counters are
+//! additive and nothing wrapped before that op, so the combined tick
+//! fires what the per-op path fires there and leaves the same values.
+//! A trap mid-block commits the partial accumulator the same way and
+//! propagates. [`interp::BlockDynamics`] counts block entries, cuts
+//! and the ops retired inside blocks (deliberately outside
+//! `ExecStats`).
 //!
 //! **Adding a `DecodedOp`** now means: give it a template thunk
 //! (generic over `const DEFER: bool` for the single/block retire
-//! lanes), bind it in `threaded::bind`, and classify it in
+//! lanes, calling `Vm::block_check` between the machine ops of a
+//! multi-op template), bind it in `threaded::bind`, and classify it in
 //! `threaded::unit_cost`; the equivalence properties gate the
 //! observables. `--engine threaded|decoded|reference` is wired through
 //! `miniperf` and `bench_trajectory` for bisection.
@@ -220,16 +232,16 @@
 //! simulation state stays thread-local to the job. The same contract is
 //! what a future JIT or threaded-code dispatch will run under.
 //!
-//! ## The exact-overflow watermark
+//! ## The exact-overflow batch
 //!
 //! The hot retire path pairs with `mperf_sim`'s batched PMU: per-op
 //! event deltas accumulate and the full 32-counter scan only runs when
-//! the batch could reach the *watermark* — the minimum distance-to-wrap
-//! over all armed counters. Since a counter advances by at most the
-//! batch's total events, no overflow can occur below the watermark, and
-//! the op that could cross it is ticked individually — so sampling
-//! interrupts still fire on exactly the op that wraps. See
-//! [`mperf_sim::Pmu::tick_batched`].
+//! the batch could wrap a counter. Counters near their wrap (a sampling
+//! counter armed at `-period`) are checked against exactly the events
+//! the op adds to them; far counters share a bound on the batch's total
+//! events. The op that can wrap a counter is ticked individually — so
+//! sampling interrupts still fire on exactly the op that wraps. See
+//! [`mperf_sim::Pmu`].
 //!
 //! The VM also maintains the guest call stack used for flame-graph
 //! callchains (built into a reusable scratch buffer, keeping sampling
@@ -253,7 +265,9 @@ pub use decode::{
 };
 pub use error::{TrapInfo, VmError};
 pub use host::{HostHandler, RegionStats, RooflineRuntime};
-pub use interp::{Engine, ExecConfig, ExecStats, FusionDynamics, RegallocDynamics, Vm};
+pub use interp::{
+    BlockDynamics, Engine, ExecConfig, ExecStats, FusionDynamics, RegallocDynamics, Vm,
+};
 pub use memory::GuestMemory;
 pub use regalloc::RegallocStats;
 pub use value::{Lanes, Value};

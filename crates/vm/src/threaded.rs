@@ -43,33 +43,38 @@
 //! superblocks at compile time: maximal runs of block-eligible units
 //! (everything except calls, returns, and vector memory ops) that no
 //! jump target lands inside, optionally ending in a branch. Each block
-//! precomputes its machine-op total, scalar-memory-reference count,
-//! branch count, and FLOP total — the shape
-//! [`mperf_sim::Core::block_ready`] turns into a conservative PMU event
-//! bound checked **once** against the watermark headroom, so a block of
+//! precomputes its machine-op total (the whole-block fuel check, and
+//! the bound behind its PMU deadline), and a block of
 //! 6–20 ops ticks the PMU a single time via
-//! [`mperf_sim::Core::retire_block`] instead of per op.
+//! [`mperf_sim::Core::retire_block`] instead of per op — also while
+//! sampling: [`mperf_sim::Core::block_begin_in`] sets a commit-time
+//! deadline before which no counter can wrap, the driver compares the
+//! clock against it after every template (templates retiring several
+//! machine ops, after each), and the op that reaches it commits the
+//! block through itself and takes its overflow interrupt there.
 //!
 //! **The observable-invariance contract** is the same as fusion's and
 //! regalloc's: cycles, instructions, PMU counter files, sampling
-//! IPs/callchains, and traps landing mid-block are bit-identical to the
-//! decoded and reference engines. Three mechanisms enforce it: the
-//! block-entry guard (whole-block fuel + PMU headroom, falling back to
-//! per-op template execution near a counter wrap), eager timing with
-//! deferred ticks (so `Core::cycles` stays exact mid-block and a
-//! mid-block trap commits the partial accumulator — additive counters
-//! make the split unobservable), and constituent-wise execution of
-//! fused sites inside blocks (identical to their bail path, so traps
-//! land exactly as in the decoded engine).
+//! records, and traps landing mid-block are bit-identical to the
+//! decoded and reference engines. Four mechanisms enforce it: the
+//! whole-block fuel guard (falling back to per-op template execution
+//! near fuel exhaustion), the per-op deadline check (a commit through
+//! the op that wraps a counter fires exactly what the per-op tick
+//! fires there, since counters are additive and nothing wrapped
+//! before), eager timing with deferred ticks (so `Core::cycles` stays
+//! exact mid-block and a mid-block trap commits the partial
+//! accumulator), and constituent-wise execution of fused sites inside
+//! blocks (identical to their bail path, so traps land exactly as in
+//! the decoded engine).
 //!
 //! **Adding a template for a new `DecodedOp`**: give it a thunk
 //! (generic over `const DEFER: bool` — `false` retires per op, `true`
-//! defers the PMU tick into the open block accumulator — dispatched via
-//! the `single`/`block` entries of its [`Template`]), bind it in
-//! [`bind`], and
-//! classify it in [`unit_cost`] (blockable? how many machine ops /
-//! memory refs / branches / FLOPs?). The cross-engine equivalence
-//! properties in `tests/properties.rs` then gate the observables.
+//! defers the PMU tick into the open block accumulator; a thunk that
+//! retires several machine ops calls `Vm::block_check` between them —
+//! dispatched via the `single`/`block` entries of its [`Template`]),
+//! bind it in [`bind`], and classify it in [`unit_cost`] (blockable?
+//! how many machine ops?). The cross-engine equivalence properties in
+//! `tests/properties.rs` then gate the observables.
 
 use crate::decode::{DecodedFunc, DecodedModule, DecodedOp, Fused, HostTarget};
 use crate::error::VmError;
@@ -126,8 +131,7 @@ impl fmt::Debug for Template {
 
 /// One straight-line superblock over the template stream. All fields are
 /// compile-time constants of the stream; `machine_ops` is exact (every
-/// covered slot retires a fixed machine-op count), the rest are the
-/// shape [`mperf_sim::Core::block_ready`] bounds events with.
+/// covered slot retires a fixed machine-op count).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockInfo {
     /// First covered op index.
@@ -135,14 +139,9 @@ pub struct BlockInfo {
     /// Final covered slot index — the driver stops after dispatching
     /// the template at (or past) this slot.
     pub last: u32,
-    /// Total machine ops the block retires.
+    /// Total machine ops the block retires (the driver's fuel check and
+    /// [`mperf_sim::Core::block_begin_in`]'s bound).
     pub machine_ops: u32,
-    /// Scalar (≤ 2-line) memory references inside the block.
-    pub mem_refs: u32,
-    /// Branch ops inside the block (0 or 1, always last).
-    pub branches: u32,
-    /// Architectural FLOPs inside the block.
-    pub flops: u32,
 }
 
 /// The threaded form of one function: templates parallel to the decoded
@@ -641,41 +640,29 @@ fn first_constituent(site: &crate::decode::FusedSite) -> DecodedOp {
 struct Unit {
     width: u32,
     machine_ops: u32,
-    mem_refs: u32,
-    branches: u32,
-    flops: u32,
     term: bool,
 }
 
 /// Classify one op slot as a block unit, or `None` when it cannot sit
-/// inside a superblock (frame transfers, vector memory — their event
-/// footprint is unbounded by the block shape).
+/// inside a superblock (frame transfers, vector memory — a vector
+/// reference can touch more lines than the core's per-op event bound
+/// for block ops allows).
 fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
     use DecodedOp as D;
-    let unit = |machine_ops, mem_refs, branches, flops, term| Unit {
+    let unit = |machine_ops, term| Unit {
         width: 1,
         machine_ops,
-        mem_refs,
-        branches,
-        flops,
         term,
     };
     Some(match op {
         D::CallFunc { .. } | D::Ret { .. } => return None,
         D::Load { lanes, .. } | D::Store { lanes, .. } if *lanes > 1 => return None,
-        D::Br { .. } => unit(1, 0, 0, 0, true),
-        D::CondBr { .. } => unit(1, 0, 1, 0, true),
-        D::CallHost { .. } => unit(4, 0, 0, 0, false),
-        D::ProfCount(_) => unit(5, 2, 0, 0, false),
-        D::Bin { flops, .. }
-        | D::Un { flops, .. }
-        | D::Fma { flops, .. }
-        | D::Reduce { flops, .. } => unit(1, 0, 0, *flops, false),
-        D::Load { .. } | D::Store { .. } => unit(1, 1, 0, 0, false),
+        D::Br { .. } | D::CondBr { .. } => unit(1, true),
+        D::CallHost { .. } => unit(4, false),
+        D::ProfCount(_) => unit(5, false),
         D::Fused(fi) => {
             let site = &df.fused[*fi as usize];
-            let w = site.width as u32;
-            let (mem_refs, branches, flops, term) = match &site.op {
+            let term = match &site.op {
                 // FP-first-constituent sites have no slot-bound
                 // constituent template (their first op would be a
                 // dec-bound FP thunk, and the slot holds `Fused`), so
@@ -685,24 +672,21 @@ fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
                 Fused::CmpBranch { int: false, .. } | Fused::BinCopy { int: false, .. } => {
                     return None
                 }
-                Fused::CmpBranch { .. } | Fused::IncCmpBranch { .. } => (0, 1, 0, true),
-                Fused::BinCopy { flops, .. } => (0, 0, *flops, false),
-                Fused::AddrLoad { .. } | Fused::AddrStore { .. } => (1, 0, 0, false),
-                Fused::LoadOp { flops, .. } | Fused::AddrLoadOp { flops, .. } => {
-                    (1, 0, *flops, false)
-                }
+                Fused::CmpBranch { .. } | Fused::IncCmpBranch { .. } => true,
+                Fused::BinCopy { .. }
+                | Fused::AddrLoad { .. }
+                | Fused::AddrStore { .. }
+                | Fused::LoadOp { .. }
+                | Fused::AddrLoadOp { .. } => false,
             };
             Unit {
-                width: w,
-                machine_ops: w,
-                mem_refs,
-                branches,
-                flops,
+                width: site.width as u32,
+                machine_ops: site.width as u32,
                 term,
             }
         }
-        // BinI, Cmp, CmpI, PtrAdd, Select, Cast, Copy, ElidedCopy, Splat.
-        _ => unit(1, 0, 0, 0, false),
+        // Everything else retires exactly one machine op.
+        _ => unit(1, false),
     })
 }
 
@@ -724,7 +708,7 @@ fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
             continue;
         };
         let start = i;
-        let (mut mo, mut mem, mut br, mut fl) = (0u32, 0u32, 0u32, 0u32);
+        let mut mo = 0u32;
         let mut j = i;
         loop {
             if j >= len || (j > start && is_entry[j]) {
@@ -734,9 +718,6 @@ fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
                 break;
             };
             mo += u.machine_ops;
-            mem += u.mem_refs;
-            br += u.branches;
-            fl += u.flops;
             j += u.width as usize;
             if u.term {
                 break;
@@ -754,9 +735,6 @@ fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
                 // the driver stops after dispatching this slot.
                 last: (j - 1) as u32,
                 machine_ops: mo,
-                mem_refs: mem,
-                branches: br,
-                flops: fl,
             });
             i = j;
         } else {
@@ -1262,6 +1240,9 @@ fn t_profcount<const DEFER: bool>(
     vm.retire_one::<DEFER>(
         MachineOp::simple(OpClass::Load, ta.pc).with_mem(MemRef::scalar(scratch, 8, false)),
     );
+    if DEFER {
+        vm.block_check(ta.pc);
+    }
     vm.retire_one::<DEFER>(
         MachineOp::simple(OpClass::Store, ta.pc).with_mem(MemRef::scalar(scratch, 8, true)),
     );
@@ -1529,7 +1510,7 @@ fused_thunk!(t_fused_addr_load_op, fused_addr_load_op);
 
 #[cfg(test)]
 mod tests {
-    use crate::decode::DecodedModule;
+    use crate::decode::{DecodedModule, DecodedOp};
     use mperf_ir::compile;
 
     #[test]
@@ -1608,11 +1589,10 @@ mod tests {
         let mut module = compile("t", src).unwrap();
         mperf_ir::transform::PassManager::standard().run(&mut module);
         let dec = DecodedModule::decode(&module);
-        let tf = &dec.threaded[0];
+        let (df, tf) = (&dec.funcs[0], &dec.threaded[0]);
         assert!(
-            tf.blocks
-                .iter()
-                .any(|b| b.branches == 1 && b.machine_ops >= 3),
+            tf.blocks.iter().any(|b| b.machine_ops >= 3
+                && matches!(df.ops[b.last as usize], DecodedOp::CondBr { .. })),
             "a branch-terminated multi-op block exists: {:?}",
             tf.blocks
         );

@@ -472,43 +472,101 @@ proptest! {
 }
 
 /// Overflow sampling is engine-exact: driving identical sampling setups
-/// through every engine configuration (reference, and the decoded
-/// engine across the regalloc × fusion matrix) produces the same number
-/// of samples with the same IPs and callchains — overflow interrupts
-/// fire on the same ops, including samples landing on elided-copy slots
-/// (which retire the same `Move` at the same pc as the original copy).
-/// Near a counter wrap the fused engine's `fused_ready` guard degrades
-/// to per-op retire, which is what keeps the overflow attribution
-/// exact.
+/// through every engine configuration (reference, and the decoded and
+/// threaded engines across the regalloc × fusion matrix) produces the
+/// same sample records — ip, callchain, time and read-group values, and
+/// any lost-sample records — the same final counter file and the same
+/// cycles. Overflow interrupts fire on the same ops, including samples
+/// landing on elided-copy slots (which retire the same `Move` at the
+/// same pc as the original copy) and inside superblocks, where the op
+/// that reaches the block's deadline commits the block through itself.
+///
+/// The program runs plain and roofline-instrumented: the counter
+/// updates and loop notifications retire several machine ops per
+/// template, and a wrap on any of them must commit right there.
+///
+/// Covered on every platform that can sample, with the cycle leaders
+/// `record` uses (the x60 u-mode-cycles leader group, direct cycles on
+/// c910 and i5) and non-cycle leaders (instructions, cache references),
+/// which superblocks handle by committing op by op near the wrap. The
+/// periods run from 1 (a wrap on every op) past typical loop-body
+/// lengths to `record`'s 997.
 #[test]
 fn decoded_engine_sampling_matches_reference() {
-    use mperf_event::{EventKind, PerfEventAttr, PerfKernel, ReadFormat};
+    use mperf_event::{EventKind, HwCounter, PerfEventAttr, PerfKernel, ReadFormat};
+    use mperf_sim::HwEvent;
 
     let src = r#"
         fn inner(p: *i64, n: i64) -> i64 {
             var h: i64 = 0;
             for (var i: i64 = 0; i < n; i = i + 1) {
-                h = (h ^ p[i % 32]) * 31 + (i >> 2);
+                h = (h ^ p[i % 32]) * 31 + (i >> 2) + p[(i * 5) % 32];
             }
             return h;
         }
-        fn main(p: *i64, n: i64) -> i64 {
+        fn main(p: *i64, n: i64, reps: i64) -> i64 {
             var acc: i64 = 0;
-            for (var r: i64 = 0; r < 40; r = r + 1) {
+            for (var r: i64 = 0; r < reps; r = r + 1) {
                 acc = acc + inner(p, n);
             }
             return acc;
         }
     "#;
-    let module = mperf_ir::compile("sampling", src).unwrap();
+    let plain = mperf_ir::compile("sampling", src).unwrap();
+    let mut instrumented = plain.clone();
+    InstrumentPass::new(InstrumentOptions::default()).run(&mut instrumented);
 
-    let run = |engine: Engine, fuse: bool, regalloc: bool| {
-        let mut core = Core::new(PlatformSpec::x60());
+    // (label, platform, leader, group members).
+    let umc = PlatformSpec::x60().event_code(HwEvent::UModeCycles);
+    let cycles = EventKind::Hardware(HwCounter::Cycles);
+    let instructions = EventKind::Hardware(HwCounter::Instructions);
+    let setups = [
+        (
+            "x60/u-mode-cycles",
+            PlatformSpec::x60(),
+            EventKind::Raw(umc),
+            vec![cycles, instructions],
+        ),
+        (
+            "c910/cycles",
+            PlatformSpec::c910(),
+            cycles,
+            vec![instructions],
+        ),
+        (
+            "c910/instructions",
+            PlatformSpec::c910(),
+            instructions,
+            vec![cycles],
+        ),
+        (
+            "i5/cycles",
+            PlatformSpec::i5_1135g7(),
+            cycles,
+            vec![instructions],
+        ),
+        (
+            "i5/cache-references",
+            PlatformSpec::i5_1135g7(),
+            EventKind::Hardware(HwCounter::CacheReferences),
+            vec![cycles, instructions],
+        ),
+    ];
+
+    let run = |module: &mperf_ir::Module,
+               spec: &PlatformSpec,
+               leader: EventKind,
+               members: &[EventKind],
+               period: u64,
+               (n, reps): (i64, i64),
+               engine: Engine,
+               fuse: bool,
+               regalloc: bool| {
+        let mut core = Core::new(spec.clone());
         let mut kernel = PerfKernel::new(&mut core);
-        let umc = core.spec.event_code(mperf_sim::HwEvent::UModeCycles);
         let attr = PerfEventAttr {
-            kind: EventKind::Raw(umc),
-            sample_period: 700,
+            kind: leader,
+            sample_period: period,
             sample_type: SampleType::full(),
             read_format: ReadFormat {
                 group: true,
@@ -517,44 +575,98 @@ fn decoded_engine_sampling_matches_reference() {
             disabled: true,
         };
         let fd = kernel.open(&mut core, attr, None).unwrap();
+        for m in members {
+            kernel
+                .open(&mut core, PerfEventAttr::counting(*m), Some(fd))
+                .unwrap();
+        }
         kernel.enable(&mut core, fd).unwrap();
-        let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
-        vm.core = core;
+        let mut vm = Vm::with_memory(module, core, 1 << 20);
         vm.set_engine(engine);
         vm.set_fusion(fuse);
         vm.set_regalloc(regalloc);
         vm.attach_kernel(kernel);
+        // Run the counting variant of instrumented loops.
+        vm.roofline.instrumented = true;
         let base = vm.mem.alloc(8 * 32, 8).unwrap();
         for i in 0..32u64 {
             vm.mem
                 .write_u64(base + i * 8, i.wrapping_mul(2_654_435_761))
                 .unwrap();
         }
-        vm.call("main", &[Value::I64(base as i64), Value::I64(150)])
-            .unwrap();
+        vm.call(
+            "main",
+            &[Value::I64(base as i64), Value::I64(n), Value::I64(reps)],
+        )
+        .unwrap();
         let mut kernel = vm.kernel.take().unwrap();
         let records = kernel.drain_records(fd).unwrap();
-        let samples: Vec<(u64, Vec<u64>)> = records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Sample(s) => Some((s.ip.unwrap(), s.callchain.clone())),
-                _ => None,
-            })
+        let counters: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+            .map(|i| vm.core.pmu().read(i))
             .collect();
-        (samples, kernel.samples_taken())
+        (
+            records,
+            kernel.samples_taken(),
+            counters,
+            vm.core.pmu().overflow_status(),
+            vm.core.cycles(),
+        )
     };
 
-    let (ref_samples, ref_taken) = run(Engine::Reference, true, true);
-    assert!(
-        ref_taken > 5,
-        "expected a healthy sample stream: {ref_taken}"
-    );
-    for (label, engine, fuse, regalloc) in engine_matrix() {
-        let (samples, taken) = run(engine, fuse, regalloc);
-        assert_eq!(ref_taken, taken, "sample counts diverge ({label})");
-        assert_eq!(
-            ref_samples, samples,
-            "sample IPs/callchains diverge ({label})"
-        );
+    let handler_cycles =
+        PerfKernel::new(&mut Core::new(PlatformSpec::c910())).sample_overhead_cycles;
+    let programs = [("plain", &plain), ("instrumented", &instrumented)];
+    for ((label, spec, leader, members), (program, module)) in setups
+        .iter()
+        .flat_map(|s| programs.iter().map(move |p| (s, p)))
+    {
+        for period in [1u64, 2, 7, 97, 700, 997] {
+            // Short runs for tiny periods (a sample every few ops).
+            let size = if period < 10 { (12, 2) } else { (150, 40) };
+            let reference = run(
+                module,
+                spec,
+                *leader,
+                members,
+                period,
+                size,
+                Engine::Reference,
+                true,
+                true,
+            );
+            // A leader counting every mode's cycles at a period below
+            // the handler's own cost stops after one sample: the
+            // handler's cycles wrap the re-armed counter (silently, the
+            // interrupt is already being served). The engines must agree
+            // on that too.
+            let stalls = *leader == cycles && period < handler_cycles;
+            assert!(
+                reference.1 > 5 || (stalls && reference.1 == 1),
+                "{label} {program} period {period}: expected a healthy sample stream: {}",
+                reference.1
+            );
+            for (cfg, engine, fuse, regalloc) in engine_matrix() {
+                let got = run(
+                    module, spec, *leader, members, period, size, engine, fuse, regalloc,
+                );
+                assert_eq!(
+                    reference.1, got.1,
+                    "{label} {program} period {period}: sample counts diverge ({cfg})"
+                );
+                assert_eq!(
+                    reference.0, got.0,
+                    "{label} {program} period {period}: sample records diverge ({cfg})"
+                );
+                assert_eq!(
+                    reference.2, got.2,
+                    "{label} {program} period {period}: counter files diverge ({cfg})"
+                );
+                assert_eq!(
+                    (reference.3, reference.4),
+                    (got.3, got.4),
+                    "{label} {program} period {period}: overflow status or cycles diverge ({cfg})"
+                );
+            }
+        }
     }
 }
