@@ -569,6 +569,7 @@ fn main() {
     let retire_ids = [
         "sim/retire-alu-10k",
         "sim/retire-load-stream-10k",
+        "sim/retire-vload-stream-10k",
         "sim/retire-alu-armed-10k",
     ];
     for (i, id) in retire_ids.iter().enumerate() {

@@ -390,6 +390,25 @@ pub fn register_retire_benches(c: &mut Criterion) {
             core.cycles()
         })
     });
+    // The vectorized counterpart over the same addresses: one 4 × f64
+    // unit-stride vector load per op, the shape vectorized stream loops
+    // retire (one line each, like the scalar stream).
+    c.bench_function("sim/retire-vload-stream-10k", |b| {
+        b.iter(|| {
+            let mut core = Core::new(PlatformSpec::x60());
+            for i in 0..10_000u64 {
+                let op = MachineOp::simple(OpClass::VecLoad, i % 64).with_mem(MemRef {
+                    addr: 0x1_0000 + (i * 64) % (1 << 20),
+                    bytes: 8,
+                    lanes: 4,
+                    stride: 8,
+                    is_store: false,
+                });
+                core.retire(black_box(&op));
+            }
+            core.cycles()
+        })
+    });
     // Retire with a counter programmed near overflow: exercises the
     // per-counter slow path so regressions there stay visible.
     c.bench_function("sim/retire-alu-armed-10k", |b| {

@@ -8,7 +8,7 @@
 //! Roof sources mirror the paper:
 //! - **theoretical** roofs derived from the platform model (the paper uses
 //!   `2 IPC × 8 SP FLOP × 1.6 GHz = 25.6 GFLOP/s` for the X60 compute roof),
-//! - **measured** memory roofs from a memset/triad-style streaming
+//! - **measured** memory roofs from a memset streaming
 //!   microbenchmark executed on the simulator (the paper uses the
 //!   rvv-bench memset result, ~3.16 B/cycle).
 

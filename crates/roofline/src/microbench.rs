@@ -1,9 +1,9 @@
 //! Machine characterization: derive roofs for a platform.
 //!
-//! Memory bandwidth is *measured* by streaming microbenchmarks (memset and
-//! triad kernels compiled with the platform's vector capabilities and run
-//! on the simulator), mirroring how the paper takes the X60's bandwidth
-//! roof from a memset benchmark. Compute peaks are *theoretical*, derived
+//! Memory bandwidth is *measured* by a streaming microbenchmark (a memset
+//! kernel compiled with the platform's vector capabilities and run on the
+//! simulator), exactly how the paper takes the X60's bandwidth roof from a
+//! memset benchmark. Compute peaks are *theoretical*, derived
 //! from the platform model exactly the way the paper derives 25.6 GFLOP/s
 //! for the X60 (vector width × FMA throughput × frequency), since neither
 //! the paper nor this reproduction trusts un-tuned loop kernels to reach
@@ -27,8 +27,6 @@ pub struct MachineCharacterization {
     pub peak_scalar_gflops: f64,
     /// Measured streaming-store bandwidth, GB/s (memset kernel).
     pub memset_gbps: f64,
-    /// Measured copy/triad bandwidth, GB/s.
-    pub triad_gbps: f64,
     /// Measured memset bytes per cycle (the figure the paper quotes).
     pub memset_bytes_per_cycle: f64,
 }
@@ -97,74 +95,34 @@ const MEMSET_SRC: &str = r#"
             p[i] = v;
         }
     }
-    fn triad(a: *f64, b: *f64, c: *f64, n: i64, k: f64) {
-        for (var i: i64 = 0; i < n; i = i + 1) {
-            a[i] = b[i] + k * c[i];
-        }
-    }
 "#;
 
-/// The two streaming kernels a characterization runs — each is one
-/// independent sweep job (fresh VM, shared decode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamKernel {
-    Memset,
-    Triad,
-}
-
-/// Run one streaming kernel on a fresh VM sharing `shared`'s decode;
+/// Run the memset kernel on a fresh VM sharing `shared`'s decode;
 /// returns `(bytes_streamed, cycles)` for the measured steady-state pass.
-fn stream_bandwidth(
-    shared: &SharedModule,
-    spec: &PlatformSpec,
-    working_set: u64,
-    kernel: StreamKernel,
-) -> (u64, u64) {
+fn memset_bandwidth(shared: &SharedModule, spec: &PlatformSpec, working_set: u64) -> (u64, u64) {
     let mem_bytes = (working_set as usize) * 4 + (16 << 20);
     let mut vm = shared.vm_with_memory(Core::new(spec.clone()), mem_bytes);
-    match kernel {
-        StreamKernel::Memset => {
-            let n = (working_set / 8).max(1024);
-            let p = vm.mem.alloc(n * 8, 64).expect("fits");
-            // Warm-up pass: the simulator has no paging, but the first
-            // pass fills the caches, loads the DRAM queue and trains the
-            // branch predictor, so the second pass measures steady state.
-            vm.call(
-                "memset64",
-                &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(1)],
-            )
-            .expect("memset runs");
-            let c0 = vm.core.cycles();
-            vm.call(
-                "memset64",
-                &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(2)],
-            )
-            .expect("memset runs");
-            (n * 8, vm.core.cycles() - c0)
-        }
-        StreamKernel::Triad => {
-            // 2 loads + 1 store per element.
-            let tn = (working_set / 8 / 3).max(1024);
-            let a = vm.mem.alloc(tn * 8, 64).expect("fits");
-            let b = vm.mem.alloc(tn * 8, 64).expect("fits");
-            let c = vm.mem.alloc(tn * 8, 64).expect("fits");
-            let args = [
-                Value::I64(a as i64),
-                Value::I64(b as i64),
-                Value::I64(c as i64),
-                Value::I64(tn as i64),
-                Value::F64(3.0),
-            ];
-            vm.call("triad", &args).expect("triad runs");
-            let c0 = vm.core.cycles();
-            vm.call("triad", &args).expect("triad runs");
-            (tn * 8 * 3, vm.core.cycles() - c0)
-        }
-    }
+    let n = (working_set / 8).max(1024);
+    let p = vm.mem.alloc(n * 8, 64).expect("fits");
+    // Warm-up pass: the simulator has no paging, but the first pass
+    // fills the caches, loads the DRAM queue and trains the branch
+    // predictor, so the second pass measures steady state.
+    vm.call(
+        "memset64",
+        &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(1)],
+    )
+    .expect("memset runs");
+    let c0 = vm.core.cycles();
+    vm.call(
+        "memset64",
+        &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(2)],
+    )
+    .expect("memset runs");
+    (n * 8, vm.core.cycles() - c0)
 }
 
-/// Compile the streaming kernels for `platform` and bundle them with
-/// their one shared decode.
+/// Compile the memset kernel for `platform` and bundle it with its one
+/// shared decode.
 fn stream_module(platform: Platform) -> SharedModule {
     let mut module = mperf_ir::compile("roofline-bench", MEMSET_SRC).expect("kernels compile");
     PassManager::standard().run(&mut module);
@@ -172,12 +130,11 @@ fn stream_module(platform: Platform) -> SharedModule {
     SharedModule::new(module)
 }
 
-/// Characterize a platform by running the streaming microbenchmarks on
-/// fresh cores, with the memset and triad kernels scheduled as
-/// independent sweep jobs under at most `jobs` worker threads
-/// (`jobs = 1` runs them serially on the calling thread; measured
-/// bandwidths are identical at any worker count — simulated cycles never
-/// observe host threads). `working_set` is the streamed footprint in
+/// Characterize a platform by running the memset microbenchmark on a
+/// fresh core as a sweep job under at most `jobs` worker threads
+/// (`jobs = 1` runs it on the calling thread; the measured bandwidth is
+/// identical at any worker count — simulated cycles never observe host
+/// threads). `working_set` is the streamed footprint in
 /// bytes (must exceed L2 to observe DRAM bandwidth; default 8 MiB via
 /// [`characterize`]).
 ///
@@ -199,10 +156,10 @@ pub fn characterize_with(platform: Platform, working_set: u64) -> MachineCharact
     characterize_with_jobs(platform, working_set, 1)
 }
 
-/// Characterize several platforms at once: every `platform × kernel`
-/// combination is one job in a single worker pool, and results come
-/// back in `platforms` order, bit-identical to calling
-/// [`characterize_with`] in a loop.
+/// Characterize several platforms at once: each platform's memset run is
+/// one job in a single worker pool, and results come back in
+/// `platforms` order, bit-identical to calling [`characterize_with`] in
+/// a loop.
 pub fn characterize_many(
     platforms: &[Platform],
     working_set: u64,
@@ -210,26 +167,20 @@ pub fn characterize_many(
 ) -> Vec<MachineCharacterization> {
     // Compile + decode once per platform, up front.
     let shared: Vec<SharedModule> = platforms.iter().map(|&p| stream_module(p)).collect();
-    let matrix: Vec<(usize, StreamKernel)> = (0..platforms.len())
-        .flat_map(|i| [(i, StreamKernel::Memset), (i, StreamKernel::Triad)])
-        .collect();
-    let measured = queue::run_jobs(matrix, jobs, |_, (pi, kernel)| {
-        stream_bandwidth(&shared[pi], &platforms[pi].spec(), working_set, kernel)
+    let measured = queue::run_jobs((0..platforms.len()).collect(), jobs, |_, pi| {
+        memset_bandwidth(&shared[pi], &platforms[pi].spec(), working_set)
     });
     platforms
         .iter()
-        .enumerate()
-        .map(|(i, &platform)| {
+        .zip(measured)
+        .map(|(&platform, (bytes, cycles))| {
             let spec = platform.spec();
-            let (memset_bytes, memset_cycles) = measured[2 * i];
-            let (triad_bytes, triad_cycles) = measured[2 * i + 1];
-            let memset_bpc = memset_bytes as f64 / memset_cycles as f64;
+            let memset_bpc = bytes as f64 / cycles as f64;
             MachineCharacterization {
                 platform,
                 peak_vector_gflops: theoretical_vector_peak_gflops(&spec),
                 peak_scalar_gflops: theoretical_scalar_peak_gflops(&spec),
                 memset_gbps: memset_bpc * spec.freq_hz as f64 / 1e9,
-                triad_gbps: triad_bytes as f64 / triad_cycles as f64 * spec.freq_hz as f64 / 1e9,
                 memset_bytes_per_cycle: memset_bpc,
             }
         })
@@ -290,14 +241,53 @@ mod tests {
 
     #[test]
     fn characterize_many_matches_serial_characterization() {
-        let platforms = [Platform::SpacemitX60, Platform::SifiveU74];
-        // 4 jobs (2 platforms × 2 kernels) on 3 workers vs the serial
+        let platforms = [
+            Platform::SpacemitX60,
+            Platform::SifiveU74,
+            Platform::TheadC910,
+        ];
+        // 3 jobs (one memset per platform) on 2 workers vs the serial
         // per-platform path: bit-identical measured bandwidths.
-        let many = characterize_many(&platforms, 1 << 20, 3);
+        let many = characterize_many(&platforms, 1 << 20, 2);
         for (p, got) in platforms.iter().zip(&many) {
             let lone = characterize_with(*p, 1 << 20);
             assert_eq!(got, &lone, "{p:?}");
         }
+    }
+
+    /// Golden characterization: the exact bits of the memset bytes per
+    /// cycle at a 1 MiB working set, one test per platform so a drift
+    /// names its platform. The cache model and the VM are meant to stay
+    /// bit-identical under optimization; any change to these figures is
+    /// a change to the model and must be deliberate.
+    fn assert_golden_memset(platform: Platform, bits: u64) {
+        let got = characterize_with(platform, 1 << 20).memset_bytes_per_cycle;
+        assert_eq!(
+            got.to_bits(),
+            bits,
+            "{platform:?}: memset measures {got} B/cycle, pinned {}",
+            f64::from_bits(bits)
+        );
+    }
+
+    #[test]
+    fn golden_memset_x60() {
+        assert_golden_memset(Platform::SpacemitX60, 0x4009_46a9_bca6_96fa);
+    }
+
+    #[test]
+    fn golden_memset_c910() {
+        assert_golden_memset(Platform::TheadC910, 0x401b_adac_9de3_22ba);
+    }
+
+    #[test]
+    fn golden_memset_u74() {
+        assert_golden_memset(Platform::SifiveU74, 0x3ff3_b0d1_0cd5_6c20);
+    }
+
+    #[test]
+    fn golden_memset_i5() {
+        assert_golden_memset(Platform::IntelI5_1135G7, 0x4023_a6ee_acc5_7610);
     }
 
     #[test]

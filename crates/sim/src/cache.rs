@@ -5,6 +5,23 @@
 //! memory roof of the roofline model: the X60 configuration is calibrated
 //! to ~3.16 bytes/cycle, matching the memset benchmark the paper cites
 //! (§5.2: 3.16 B/cyc × 1.6 GHz ≈ 4.7 GB/s).
+//!
+//! Every simulated memory op walks this model, so on streaming kernels it
+//! is the hot path, laid out for that:
+//!
+//! - each level stores its ways as parallel flat `tags` / `lru` arrays
+//!   (`ways` entries per set) and finds a set with a power-of-two mask —
+//!   `Level::new` rejects geometries with any other set count;
+//! - a per-set MRU way answers repeated hits without a scan, and one scan
+//!   finds either the hit or the victim (first empty way, else the first
+//!   least-recently-used one);
+//! - the DRAM channel occupancy of a line is worked out once per
+//!   hierarchy;
+//! - a scalar or unit-stride reference walks its contiguous line range
+//!   directly; only strided references dedup lines lane by lane.
+//!
+//! None of this changes a result: `tests::level_matches_tuple_oracle`
+//! drives the level against a tuple-array reference implementation.
 
 use crate::machine_op::MemRef;
 
@@ -51,19 +68,21 @@ impl CacheConfig {
     }
 }
 
+/// One set-associative level. Ways live in two parallel flat arrays,
+/// `ways` entries per set: `tags` holds the resident line address + 1
+/// (0 = empty, so tag 0 never collides with a real line) and `lru` its
+/// last-use cycle. A set is located by masking the line address with
+/// `num_sets - 1` (set counts are powers of two).
 #[derive(Debug, Clone)]
 struct Level {
-    /// Flat `(tag, last_use)` array, `ways` entries per set (one cache
-    /// block, no per-set pointer chase on the retire path); tag 0 means
-    /// empty (tags are stored +1 so tag 0 never collides with a real
-    /// line).
-    sets: Vec<(u64, u64)>,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
     /// Per-set index of the most-recently-hit (or most-recently-filled)
     /// way: the MRU fast-hit probe checks this way before the full set
     /// scan. Pure memoization — hit/miss decisions, LRU timestamps, and
     /// victim selection are bit-identical with or without it.
     mru: Vec<u32>,
-    num_sets: u64,
+    set_mask: u64,
     ways: usize,
     latency: u32,
     accesses: u64,
@@ -73,12 +92,25 @@ struct Level {
 }
 
 impl Level {
+    /// # Panics
+    /// If the geometry does not divide into a power-of-two number of
+    /// sets of `ways` lines (set indexing is a mask).
     fn new(cfg: LevelConfig) -> Level {
-        let num_sets = (cfg.size_bytes / LINE_BYTES / cfg.ways as u64).max(1);
+        let set_bytes = LINE_BYTES * cfg.ways as u64;
+        let num_sets = cfg.size_bytes.checked_div(set_bytes).unwrap_or(0);
+        assert!(
+            num_sets.is_power_of_two() && num_sets * set_bytes == cfg.size_bytes,
+            "cache geometry {} B / {} ways / {LINE_BYTES} B lines must give a \
+             power-of-two set count",
+            cfg.size_bytes,
+            cfg.ways
+        );
+        let lines = num_sets as usize * cfg.ways as usize;
         Level {
-            sets: vec![(0, 0); num_sets as usize * cfg.ways as usize],
+            tags: vec![0; lines],
+            lru: vec![0; lines],
             mru: vec![0; num_sets as usize],
-            num_sets,
+            set_mask: num_sets - 1,
             ways: cfg.ways as usize,
             latency: cfg.latency,
             accesses: 0,
@@ -92,7 +124,7 @@ impl Level {
     #[inline]
     fn access(&mut self, line: u64, now: u64) -> (bool, bool) {
         self.accesses += 1;
-        let set = (line % self.num_sets) as usize;
+        let set = (line & self.set_mask) as usize;
         let tag = line + 1;
         let base = set * self.ways;
         // MRU fast hit: streaming kernels touch the same line many times
@@ -100,37 +132,47 @@ impl Level {
         // full scan. The accounting (timestamp update, hit count) is
         // exactly what the scan would have done for the same way.
         let m = self.mru[set] as usize;
-        if self.sets[base + m].0 == tag {
-            self.sets[base + m].1 = now;
+        if self.tags[base + m] == tag {
+            self.lru[base + m] = now;
             self.mru_hits += 1;
             return (true, true);
         }
-        let ways = &mut self.sets[base..base + self.ways];
-        if let Some((w, slot)) = ways.iter_mut().enumerate().find(|(_, (t, _))| *t == tag) {
-            slot.1 = now;
-            self.mru[set] = w as u32;
-            return (true, false);
+        // One scan finds the hit or the victim: the first empty way,
+        // else the first least-recently-used one (timestamps are whole
+        // cycles, so ties are common; the lowest way wins). Ways only
+        // empty all at once (`invalidate_all`) and a fill takes the first
+        // empty way, so a set's empty ways are a suffix: the first one
+        // ends the scan.
+        let tags = &self.tags[base..base + self.ways];
+        let lru = &self.lru[base..base + self.ways];
+        let mut w = 0;
+        let mut oldest = u64::MAX;
+        for (i, (&t, &lu)) in tags.iter().zip(lru).enumerate() {
+            if t == tag {
+                self.lru[base + i] = now;
+                self.mru[set] = i as u32;
+                return (true, false);
+            }
+            if t == 0 {
+                w = i;
+                break;
+            }
+            if lu < oldest {
+                oldest = lu;
+                w = i;
+            }
         }
         self.misses += 1;
-        // Evict LRU (first minimum in way order, as before the MRU
-        // probe existed — ties must resolve identically).
-        let (victim_way, victim) = ways
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, (t, lu))| if *t == 0 { (0, 0) } else { (1, *lu) })
-            .expect("cache has at least one way");
-        *victim = (tag, now);
-        self.mru[set] = victim_way as u32;
+        self.tags[base + w] = tag;
+        self.lru[base + w] = now;
+        self.mru[set] = w as u32;
         (false, false)
     }
 
     fn invalidate_all(&mut self) {
-        for way in &mut self.sets {
-            *way = (0, 0);
-        }
-        for m in &mut self.mru {
-            *m = 0;
-        }
+        self.tags.fill(0);
+        self.lru.fill(0);
+        self.mru.fill(0);
     }
 }
 
@@ -154,6 +196,29 @@ pub struct MemEvents {
     pub l2_mru_hits: u64,
 }
 
+/// Visit the distinct lines `mem` touches, in first-touch order — the
+/// order [`MemRef::for_each_line`] visits them. A scalar or unit-stride
+/// reference covers one contiguous byte range, so its lines are that
+/// range's lines in ascending order and need no per-lane dedup; only
+/// strided references take the general walk.
+#[inline]
+fn walk_lines(mem: &MemRef, mut f: impl FnMut(u64)) {
+    if mem.lanes <= 1 || mem.is_unit_stride() {
+        let len = if mem.lanes <= 1 {
+            mem.bytes as u64
+        } else {
+            mem.total_bytes()
+        };
+        let first = mem.addr / LINE_BYTES;
+        let last = (mem.addr + len - 1) / LINE_BYTES;
+        for line in first..=last {
+            f(line);
+        }
+    } else {
+        mem.for_each_line(f);
+    }
+}
+
 /// The memory hierarchy attached to one core.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -163,6 +228,9 @@ pub struct MemorySystem {
     /// Cycle at which DRAM can accept the next line transfer
     /// (bandwidth-limiter state), in centi-cycles.
     dram_free_at_centi: u64,
+    /// Centi-cycles one line occupies the DRAM channel (fixed by the
+    /// config, so worked out once here rather than on every miss).
+    occupancy_centi: u64,
     total_dram_bytes: u64,
 }
 
@@ -174,6 +242,7 @@ impl MemorySystem {
             l2: Level::new(cfg.l2),
             cfg,
             dram_free_at_centi: 0,
+            occupancy_centi: (LINE_BYTES as f64 / cfg.dram_bytes_per_cycle * 100.0) as u64,
             total_dram_bytes: 0,
         }
     }
@@ -187,18 +256,8 @@ impl MemorySystem {
     /// benchmark would measure DRAM *latency* instead of bandwidth.
     pub fn access(&mut self, mem: &MemRef, now_centi: u64) -> MemEvents {
         let mut ev = MemEvents::default();
-        // Single-line fast path: the common case for scalar accesses in
-        // triad/memset-style kernels is a reference that fits entirely in
-        // one cache line. Skip the `for_each_line` walk (closure setup,
-        // lane dedup machinery) and touch that one line directly — the
-        // arithmetic is identical to the general path below.
-        if mem.lanes <= 1 && mem.addr / LINE_BYTES == (mem.addr + mem.bytes as u64 - 1) / LINE_BYTES
-        {
-            self.access_line(mem.addr / LINE_BYTES, mem.is_store, now_centi, &mut ev);
-            return ev;
-        }
-        mem.for_each_line(|line| {
-            self.access_line(line, mem.is_store, now_centi, &mut ev);
+        walk_lines(mem, |line| {
+            self.access_line(line, mem.is_store, now_centi, &mut ev)
         });
         ev
     }
@@ -232,9 +291,8 @@ impl MemorySystem {
         // LINE_BYTES / bytes_per_cycle cycles. The core stalls only on
         // queue backpressure (and, for loads, the access latency);
         // channel occupancy itself is pipelined.
-        let occupancy_centi = (LINE_BYTES as f64 / self.cfg.dram_bytes_per_cycle * 100.0) as u64;
         let start = self.dram_free_at_centi.max(now_centi);
-        self.dram_free_at_centi = start + occupancy_centi;
+        self.dram_free_at_centi = start + self.occupancy_centi;
         let queue_delay = (start - now_centi) / 100;
         ev.stall_cycles += queue_delay;
         if !is_store {
@@ -458,5 +516,232 @@ mod tests {
         assert_eq!(acc, 2);
         assert_eq!(miss, 1);
         assert!(m.dram_bytes_total() >= 64);
+    }
+
+    /// Reference implementation of a level, written for clarity: one
+    /// flat `(tag, last_use)` tuple array, `%` set indexing, a hit scan
+    /// and a separate `min_by_key` victim search. [`Level`] must match it
+    /// access for access.
+    struct OracleLevel {
+        sets: Vec<(u64, u64)>,
+        mru: Vec<u32>,
+        num_sets: u64,
+        ways: usize,
+    }
+
+    impl OracleLevel {
+        fn new(cfg: LevelConfig) -> OracleLevel {
+            let num_sets = (cfg.size_bytes / LINE_BYTES / cfg.ways as u64).max(1);
+            OracleLevel {
+                sets: vec![(0, 0); num_sets as usize * cfg.ways as usize],
+                mru: vec![0; num_sets as usize],
+                num_sets,
+                ways: cfg.ways as usize,
+            }
+        }
+
+        fn access(&mut self, line: u64, now: u64) -> (bool, bool) {
+            let set = (line % self.num_sets) as usize;
+            let tag = line + 1;
+            let base = set * self.ways;
+            let m = self.mru[set] as usize;
+            if self.sets[base + m].0 == tag {
+                self.sets[base + m].1 = now;
+                return (true, true);
+            }
+            let ways = &mut self.sets[base..base + self.ways];
+            if let Some((w, slot)) = ways.iter_mut().enumerate().find(|(_, (t, _))| *t == tag) {
+                slot.1 = now;
+                self.mru[set] = w as u32;
+                return (true, false);
+            }
+            let (victim_way, victim) = ways
+                .iter_mut()
+                .enumerate()
+                .min_by_key(|(_, (t, lu))| if *t == 0 { (0, 0) } else { (1, *lu) })
+                .expect("cache has at least one way");
+            *victim = (tag, now);
+            self.mru[set] = victim_way as u32;
+            (false, false)
+        }
+
+        fn invalidate_all(&mut self) {
+            self.sets.fill((0, 0));
+            self.mru.fill(0);
+        }
+    }
+
+    /// Deterministic xorshift stream for the randomized differentials.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn level_configs() -> Vec<(String, LevelConfig)> {
+        let mut out = Vec::new();
+        let tiny = CacheConfig::test_tiny();
+        out.push(("tiny/l1d".to_string(), tiny.l1d));
+        out.push(("tiny/l2".to_string(), tiny.l2));
+        for p in crate::Platform::ALL {
+            let spec = p.spec();
+            out.push((format!("{}/l1d", spec.name), spec.caches.l1d));
+            out.push((format!("{}/l2", spec.name), spec.caches.l2));
+        }
+        out
+    }
+
+    /// The parallel-array level with its mask indexing and one-scan
+    /// hit/victim search is access-for-access identical to the tuple
+    /// oracle: the same hits, misses and MRU-probe hits, the same victim
+    /// (way and evicted line) on every miss, and the same per-set tags,
+    /// timestamps and MRU way — over random line streams that pile
+    /// conflicting lines into a few sets, refill evicted lines, touch
+    /// lines in the same cycle (LRU ties), and flush, on every platform
+    /// level and the tiny test config.
+    #[test]
+    fn level_matches_tuple_oracle() {
+        for (label, cfg) in level_configs() {
+            for seed in 1..=4u64 {
+                let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let mut fast = Level::new(cfg);
+                let mut oracle = OracleLevel::new(cfg);
+                let num_sets = fast.set_mask + 1;
+                let hot_sets = [0, 1, num_sets / 2, num_sets - 1];
+                let mut now = 0u64;
+                for step in 0..6_000 {
+                    // Mostly conflict traffic: ~2× the associativity of
+                    // lines mapping onto a few hot sets; sometimes a
+                    // random far line.
+                    let line = if rng.below(8) == 0 {
+                        rng.below(1 << 30)
+                    } else {
+                        let set = hot_sets[rng.below(4) as usize];
+                        set + num_sets * rng.below(2 * cfg.ways as u64 + 1)
+                    };
+                    now += rng.below(3);
+                    if rng.below(1500) == 0 {
+                        fast.invalidate_all();
+                        oracle.invalidate_all();
+                    }
+                    let set = (line & fast.set_mask) as usize;
+                    let base = set * fast.ways;
+                    let before = fast.tags[base..base + fast.ways].to_vec();
+                    let oracle_before: Vec<u64> = oracle.sets[base..base + oracle.ways]
+                        .iter()
+                        .map(|s| s.0)
+                        .collect();
+                    let got = fast.access(line, now);
+                    let want = oracle.access(line, now);
+                    let ctx = format!("{label} seed {seed} step {step} line {line:#x}");
+                    assert_eq!(got, want, "hit/MRU-hit diverge: {ctx}");
+                    assert_eq!(fast.mru[set], oracle.mru[set], "MRU way: {ctx}");
+                    if !got.0 {
+                        let (w, ow) = (fast.mru[set] as usize, oracle.mru[set] as usize);
+                        assert_eq!(
+                            (w, before[w]),
+                            (ow, oracle_before[ow]),
+                            "victim way and evicted line: {ctx}"
+                        );
+                    }
+                    let want_set: Vec<(u64, u64)> = oracle.sets[base..base + oracle.ways].to_vec();
+                    let got_set: Vec<(u64, u64)> = fast.tags[base..base + fast.ways]
+                        .iter()
+                        .copied()
+                        .zip(fast.lru[base..base + fast.ways].iter().copied())
+                        .collect();
+                    assert_eq!(got_set, want_set, "set state: {ctx}");
+                }
+                assert_eq!(fast.accesses, 6_000);
+            }
+        }
+    }
+
+    /// The contiguous walk the hierarchy takes for scalar and
+    /// unit-stride references visits exactly the lines, in exactly the
+    /// order, of [`MemRef::for_each_line`] — for random unit-stride,
+    /// strided (incl. zero and negative strides) and line-straddling
+    /// references.
+    #[test]
+    fn contiguous_line_walk_matches_for_each_line() {
+        let mut rng = Rng(0x5eed);
+        for case in 0..20_000 {
+            let bytes = [1u32, 2, 4, 8][rng.below(4) as usize];
+            let lanes = 1 + rng.below(16) as u32;
+            let stride = match rng.below(4) {
+                0 | 1 => bytes as i64,
+                2 => [0i64, 64, 128, -(bytes as i64)][rng.below(4) as usize],
+                _ => rng.below(512) as i64 - 256,
+            };
+            // Start near a line end often, so references straddle.
+            let addr =
+                (1 << 20) + rng.below(64) * LINE_BYTES + 64 - rng.below(2 * bytes as u64 + 1);
+            let mem = MemRef {
+                addr,
+                bytes,
+                lanes,
+                stride,
+                is_store: rng.below(2) == 0,
+            };
+            let mut walked = Vec::new();
+            walk_lines(&mem, |l| walked.push(l));
+            assert_eq!(walked, mem.lines(), "case {case}: {mem:?}");
+        }
+    }
+
+    /// A unit-stride vector reference through the hierarchy reports what
+    /// touching its lines one scalar at a time reports.
+    #[test]
+    fn unit_stride_vector_access_equals_per_line_access() {
+        for (bytes, lanes, addr) in [(8u32, 4u32, 0x1000u64), (8, 8, 0x1038), (4, 16, 0x10fc)] {
+            let mut vec_mem = MemorySystem::new(CacheConfig::test_tiny());
+            let mut line_mem = MemorySystem::new(CacheConfig::test_tiny());
+            let v = MemRef {
+                addr,
+                bytes,
+                lanes,
+                stride: bytes as i64,
+                is_store: false,
+            };
+            let got = vec_mem.access(&v, 500);
+            let mut want = MemEvents::default();
+            for line in v.lines() {
+                let ev = line_mem.access(&MemRef::scalar(line * LINE_BYTES, 1, false), 500);
+                want.l1_accesses += ev.l1_accesses;
+                want.l1_misses += ev.l1_misses;
+                want.l2_misses += ev.l2_misses;
+                want.dram_bytes += ev.dram_bytes;
+                want.stall_cycles += ev.stall_cycles;
+                want.hit_cycles += ev.hit_cycles;
+            }
+            assert_eq!(got, want, "{v:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two set count")]
+    fn non_power_of_two_sets_are_rejected() {
+        // 48 KiB / 8 ways = 96 sets.
+        Level::new(LevelConfig {
+            size_bytes: 48 * 1024,
+            ways: 8,
+            latency: 3,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two set count")]
+    fn too_small_level_is_rejected() {
+        // 1 KiB at 32 ways is less than one set.
+        Level::new(LevelConfig {
+            size_bytes: 1024,
+            ways: 32,
+            latency: 3,
+        });
     }
 }

@@ -698,11 +698,9 @@ impl Core {
     #[inline]
     pub fn block_apply(&mut self, op: &MachineOp, acc: &mut BlockAcc) {
         debug_assert!(
-            op.flops <= MAX_OP_FLOPS
-                && op
-                    .mem
-                    .is_none_or(|m| m.lanes <= 1 && m.bytes as u64 <= crate::cache::LINE_BYTES),
-            "superblocks take scalar memory references and at most MAX_OP_FLOPS"
+            op.flops <= MAX_OP_FLOPS && op.mem.is_none_or(|m| block_mem_ok(&m)),
+            "superblocks take ≤ 2-line scalar or unit-stride memory references \
+             and at most MAX_OP_FLOPS"
         );
         let instr_before = acc.deltas.instructions;
         let simple = self.apply_op(op, &mut acc.deltas);
@@ -880,12 +878,12 @@ fn fused_ub_static(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64, with_mem
     max_ops * per_op_cycles + branch_cycles + mem_cycles + events + 16
 }
 
-/// Upper bound on the whole cycles one superblock op (≤ one scalar
-/// memory reference of ≤ 2 lines) can take, DRAM queue delay excluded:
-/// the worst unit and issue-slot cost, a taken branch's bubble plus the
-/// mispredict penalty (twice, covering both the in-order stall and the
-/// out-of-order pipeline-restart floor), and per line the full
-/// L1/L2/DRAM latency chain plus the load-use penalty.
+/// Upper bound on the whole cycles one superblock op (≤ one memory
+/// reference of ≤ 2 lines, see [`block_mem_ok`]) can take, DRAM queue
+/// delay excluded: the worst unit and issue-slot cost, a taken branch's
+/// bubble plus the mispredict penalty (twice, covering both the
+/// in-order stall and the out-of-order pipeline-restart floor), and per
+/// line the full L1/L2/DRAM latency chain plus the load-use penalty.
 fn block_cycles_ub(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64) -> u64 {
     let caches = &spec.caches;
     (spec.timing.max_inv_tp() + slot_unit * isa.max_expansion()) / 100
@@ -899,13 +897,26 @@ fn block_cycles_ub(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64) -> u64 {
         + spec.load_use_penalty as u64
 }
 
+/// Whether a memory reference fits the superblock per-op bounds, which
+/// charge each op for at most 2 lines: a scalar, or a unit-stride vector
+/// of at most `LINE_BYTES`, at any address. An engine may put an op
+/// inside a superblock only when its references pass this.
+pub fn block_mem_ok(m: &crate::machine_op::MemRef) -> bool {
+    (m.lanes <= 1 || m.is_unit_stride()) && m.total_bytes() <= crate::cache::LINE_BYTES
+}
+
 /// Upper bound on the non-cycle events one superblock op can add to a
-/// single counter: instruction and vector-instruction events at maximum
-/// ISA expansion, a branch and its miss, the FP events of
-/// [`MAX_OP_FLOPS`], and for a scalar reference (≤ 2 lines) per line an
-/// access, a miss, an L2 miss and `LINE_BYTES` of DRAM traffic.
+/// single counter: instruction events and (vector ops) vector-instruction
+/// events, each at maximum ISA expansion, a branch and its miss, the FP
+/// events of [`MAX_OP_FLOPS`], and for a memory reference of ≤ 2 lines
+/// (a scalar, or a unit-stride vector of ≤ `LINE_BYTES`, see
+/// [`block_mem_ok`]) per line an access, a miss, an L2 miss and
+/// `LINE_BYTES` of DRAM traffic.
 fn block_event_ub(spec: &PlatformSpec, isa: &IsaModel) -> u64 {
-    2 * isa.max_expansion()
+    let instructions = isa.max_expansion();
+    let vec_instructions = isa.max_expansion();
+    instructions
+        + vec_instructions
         + 2
         + MAX_OP_FLOPS as u64 * spec.fp_event_percent as u64 / 100
         + 2 * (3 + crate::cache::LINE_BYTES)

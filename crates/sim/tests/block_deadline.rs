@@ -3,7 +3,8 @@
 //! stream retired as random-length blocks (apply lanes, deadline check
 //! after every op, commit through the op that reaches the deadline),
 //! raise the same overflow interrupts on the same ops and end with the
-//! same counters, overflow bits, cycles and instructions.
+//! same counters, overflow bits, cycles and instructions — with scalar
+//! and unit-stride vector memory, branches, FP and vector FMA ops.
 
 use mperf_sim::pmu::{COUNTER_CYCLE, NUM_COUNTERS};
 use mperf_sim::{BlockAcc, Core, HwEvent, MachineOp, MemRef, OpClass, PlatformSpec, PrivMode};
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 /// Events a sampling counter may be armed on (cycle events take the
 /// deadline, the rest the op-by-op commit).
-const ARMABLE: [HwEvent; 8] = [
+const ARMABLE: [HwEvent; 9] = [
     HwEvent::CpuCycles,
     HwEvent::UModeCycles,
     HwEvent::SModeCycles,
@@ -20,6 +21,7 @@ const ARMABLE: [HwEvent; 8] = [
     HwEvent::L1dMiss,
     HwEvent::BranchMisses,
     HwEvent::FpOps,
+    HwEvent::VecInstructions,
 ];
 
 struct Rng(u64);
@@ -39,7 +41,7 @@ impl Rng {
 
 fn random_op(rng: &mut Rng, i: u64) -> MachineOp {
     let pc = i % 97;
-    match rng.below(7) {
+    match rng.below(10) {
         0 => MachineOp::simple(OpClass::IntMul, pc),
         1 => MachineOp::simple(OpClass::Move, pc),
         2 => MachineOp::simple(OpClass::Load, pc).with_mem(MemRef::scalar(
@@ -54,6 +56,24 @@ fn random_op(rng: &mut Rng, i: u64) -> MachineOp {
         )),
         4 => MachineOp::simple(OpClass::Branch, pc).with_taken(rng.below(3) != 0),
         5 => MachineOp::simple(OpClass::FpFma, pc).with_flops(2),
+        // Unit-stride vector memory of up to a line, often straddling
+        // two: the widest references superblocks admit.
+        6 | 7 => {
+            let (bytes, lanes) = [(8, 4), (8, 8), (4, 8), (4, 16)][rng.below(4) as usize];
+            let class = if rng.below(2) == 0 {
+                OpClass::VecLoad
+            } else {
+                OpClass::VecStore
+            };
+            MachineOp::simple(class, pc).with_mem(MemRef {
+                addr: 0x1000 + rng.below(1 << 14) * 8,
+                bytes,
+                lanes,
+                stride: bytes as i64,
+                is_store: class == OpClass::VecStore,
+            })
+        }
+        8 => MachineOp::simple(OpClass::VecFma, pc).with_flops(16),
         _ => MachineOp::simple(OpClass::IntAlu, pc),
     }
 }

@@ -159,14 +159,21 @@
 //! per `MemTy` — op kinds are const generics, folded at compile time.
 //! Each fusion pattern binds its own template calling the one-tick
 //! handlers shared with the decoded engine, and `ElidedCopy` binds a
-//! retire-only thunk. Payload-carrying cold ops (calls, wide returns,
-//! vector memory, FP-lane arithmetic) keep monomorphic thunks that read
-//! their own `DecodedOp` — still no dispatch `match`.
+//! retire-only thunk. Unit-stride vector loads/stores (constant stride
+//! equal to the lane width, f32/f64/i64 lanes, ≤ 64 bytes) bind one
+//! monomorphic thunk per lane type that bounds-checks the contiguous
+//! range once and moves lanes straight between guest bytes and the
+//! register slot. Payload-carrying cold ops (calls, wide returns,
+//! strided or wide vector memory, FP-lane arithmetic) keep monomorphic
+//! thunks that read their own `DecodedOp` — still no dispatch `match`.
 //!
 //! **Superblock formation.** The compile pass partitions each function
 //! into straight-line superblocks: maximal runs of block-eligible
-//! templates (no calls/returns/vector memory, no interior jump
-//! targets), each with a precomputed machine-op count. At run time a
+//! templates (no calls/returns, no strided or wider-than-a-line vector
+//! memory, no interior jump targets), each with a precomputed
+//! machine-op count. Unit-stride vector memory of ≤ 64 bytes touches
+//! ≤ 2 lines, within the core's per-op block bounds, so vectorized
+//! stream loops (the roofline's memset and triad) run as blocks. At run time a
 //! block whose fuel guard holds executes with eager timing but a
 //! *deferred* PMU tick: every template applies its cycle/cache/branch
 //! effects immediately (so `Core::cycles` stays exact mid-block) while

@@ -105,6 +105,16 @@ impl GuestMemory {
         Ok(&self.bytes[i..i + len as usize])
     }
 
+    /// Mutable byte slice — the destination of a contiguous multi-byte
+    /// store that was bounds-checked once.
+    ///
+    /// # Errors
+    /// [`VmError::OutOfBounds`] outside the mapped region.
+    pub(crate) fn slice_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], VmError> {
+        let i = self.check(addr, len)?;
+        Ok(&mut self.bytes[i..i + len as usize])
+    }
+
     /// Typed helpers.
     ///
     /// # Errors

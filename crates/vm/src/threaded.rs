@@ -30,10 +30,19 @@
 //!   constituent* (reconstructed from the payload): the block already
 //!   batches the PMU tick, so constituent templates are both faster
 //!   and trivially bit-identical (they are the site's bail path).
-//! - Payload-carrying cold ops (calls, `Ret` with 2+ values, vector
-//!   memory, FP-lane ops) keep a dec-bound thunk: a monomorphic handler
-//!   that reads its own `DecodedOp` (irrefutable match) — still no
-//!   dispatch `match`.
+//! - **Unit-stride vector memory gets its own templates**: a vector
+//!   `Load`/`Store` whose stride is the constant lane width, with
+//!   f32/f64/i64 lanes and at most `LINE_BYTES` in all, binds one
+//!   monomorphic thunk per lane type (`t_vload_unit::<M_F64>`, …). It
+//!   bounds-checks the contiguous range once, decodes or encodes the
+//!   lanes straight from guest bytes, and stores from the register slot
+//!   without cloning the `Value`; a range that is not fully mapped takes
+//!   the per-lane path, so traps (and the lanes written before them)
+//!   match the other engines.
+//! - Payload-carrying cold ops (calls, `Ret` with 2+ values, strided or
+//!   wide vector memory, FP-lane ops) keep a dec-bound thunk: a
+//!   monomorphic handler that reads its own `DecodedOp` (irrefutable
+//!   match) — still no dispatch `match`.
 //! - Every template also pre-binds its synthetic `pc`, so the hot loop
 //!   never touches the `pcs` table.
 //!
@@ -41,8 +50,12 @@
 //!
 //! On top of the template stream, [`form_blocks`] forms straight-line
 //! superblocks at compile time: maximal runs of block-eligible units
-//! (everything except calls, returns, and vector memory ops) that no
-//! jump target lands inside, optionally ending in a branch. Each block
+//! (everything except calls, returns, and vector memory that is strided
+//! or wider than a line) that no jump target lands inside, optionally
+//! ending in a branch. A unit-stride vector access of ≤ `LINE_BYTES`
+//! touches ≤ 2 lines, like a line-straddling scalar, which is what the
+//! core's per-op block bounds assume — so vectorized stream loops retire
+//! as blocks and tick the PMU once per block, not per op. Each block
 //! precomputes its machine-op total (the whole-block fuel check, and
 //! the bound behind its PMU deadline), and a block of
 //! 6–20 ops ticks the PMU a single time via
@@ -81,6 +94,7 @@ use crate::error::VmError;
 use crate::interp::{eval_bin, eval_cast, eval_cmp, eval_fma, DFrame, Step, TCtx, Vm};
 use crate::value::{LanesF32, LanesF64, LanesI64, Value};
 use mperf_ir::{BinOp, CmpOp, MemTy, Operand, ReduceOp, Ty, UnOp};
+use mperf_sim::core::block_mem_ok;
 use mperf_sim::machine_op::{MachineOp, MemRef, OpClass};
 use std::fmt;
 
@@ -338,6 +352,51 @@ fn store_template(mem: MemTy, args: TArgs) -> Template {
     }
 }
 
+/// Whether a vector `Load`/`Store` binds a unit-stride template: its
+/// stride is the constant lane width, its lanes are f32/f64/i64, and its
+/// reference fits the superblock per-op bounds at every address
+/// ([`mperf_sim::core::block_mem_ok`]).
+fn unit_stride_vec(op: &DecodedOp) -> bool {
+    let (lanes, mem, stride, is_store) = match op {
+        DecodedOp::Load {
+            lanes, mem, stride, ..
+        } => (*lanes, *mem, *stride, false),
+        DecodedOp::Store {
+            lanes, mem, stride, ..
+        } => (*lanes, *mem, *stride, true),
+        _ => return false,
+    };
+    let bytes = mem.bytes() as u32;
+    lanes > 1
+        && matches!(mem, MemTy::F32 | MemTy::F64 | MemTy::I64)
+        && stride == Operand::I64(bytes as i64)
+        && block_mem_ok(&MemRef {
+            addr: 0,
+            bytes,
+            lanes: lanes as u32,
+            stride: bytes as i64,
+            is_store,
+        })
+}
+
+fn vload_template(mem: MemTy, args: TArgs) -> Template {
+    match mem {
+        MemTy::F32 => tpl!(t_vload_unit, M_F32, args),
+        MemTy::F64 => tpl!(t_vload_unit, M_F64, args),
+        MemTy::I64 => tpl!(t_vload_unit, M_I64, args),
+        other => unreachable!("unit-stride vector load of {other}"),
+    }
+}
+
+fn vstore_template(mem: MemTy, args: TArgs) -> Template {
+    match mem {
+        MemTy::F32 => tpl!(t_vstore_unit, M_F32, args),
+        MemTy::F64 => tpl!(t_vstore_unit, M_F64, args),
+        MemTy::I64 => tpl!(t_vstore_unit, M_I64, args),
+        other => unreachable!("unit-stride vector store of {other}"),
+    }
+}
+
 /// Bind one decoded op to its template.
 fn bind(op: &DecodedOp, df: &DecodedFunc, tf: &mut ThreadedFunc, pc: u64) -> Template {
     use DecodedOp as D;
@@ -427,6 +486,38 @@ fn bind(op: &DecodedOp, df: &DecodedFunc, tf: &mut ThreadedFunc, pc: u64) -> Tem
                 a: islot(addr, &mut tf.consts_i64),
                 b: vslot(val, &mut tf.consts),
                 c: 0,
+                d: 0,
+                pc,
+            },
+        ),
+        D::Load {
+            dst,
+            addr,
+            mem,
+            lanes,
+            ..
+        } if unit_stride_vec(op) => vload_template(
+            *mem,
+            TArgs {
+                a: *dst,
+                b: islot(addr, &mut tf.consts_i64),
+                c: *lanes as u32,
+                d: 0,
+                pc,
+            },
+        ),
+        D::Store {
+            addr,
+            val: Operand::Reg(val),
+            mem,
+            lanes,
+            ..
+        } if unit_stride_vec(op) => vstore_template(
+            *mem,
+            TArgs {
+                a: islot(addr, &mut tf.consts_i64),
+                b: val.index() as u32,
+                c: *lanes as u32,
                 d: 0,
                 pc,
             },
@@ -644,9 +735,10 @@ struct Unit {
 }
 
 /// Classify one op slot as a block unit, or `None` when it cannot sit
-/// inside a superblock (frame transfers, vector memory — a vector
-/// reference can touch more lines than the core's per-op event bound
-/// for block ops allows).
+/// inside a superblock (frame transfers, and vector memory that is
+/// strided or wider than a line — such a reference can touch more lines
+/// than the core's per-op bounds for block ops allow; unit-stride
+/// vector memory of ≤ `LINE_BYTES` touches ≤ 2, like a scalar).
 fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
     use DecodedOp as D;
     let unit = |machine_ops, term| Unit {
@@ -656,7 +748,9 @@ fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
     };
     Some(match op {
         D::CallFunc { .. } | D::Ret { .. } => return None,
-        D::Load { lanes, .. } | D::Store { lanes, .. } if *lanes > 1 => return None,
+        D::Load { lanes, .. } | D::Store { lanes, .. } if *lanes > 1 && !unit_stride_vec(op) => {
+            return None
+        }
         D::Br { .. } | D::CondBr { .. } => unit(1, true),
         D::CallHost { .. } => unit(4, false),
         D::ProfCount(_) => unit(5, false),
@@ -945,6 +1039,115 @@ fn t_store_scalar<const MT: u8, const DEFER: bool>(
             true,
         )),
     );
+    Ok(Step::Continue)
+}
+
+/// Lanes of a unit-stride vector of memory type `MT` from their
+/// little-endian bytes — the bits `Vm::load_value` reads lane by lane.
+#[inline(always)]
+fn vlanes_from_le<const MT: u8>(raw: &[u8]) -> Value {
+    fn lanes<'a, T: 'a, const W: usize>(
+        raw: &'a [u8],
+        from: fn([u8; W]) -> T,
+    ) -> impl Iterator<Item = T> + 'a {
+        raw.chunks_exact(W)
+            .map(move |c| from(c.try_into().expect("lane width")))
+    }
+    match MT {
+        M_F32 => Value::VF32(lanes(raw, f32::from_le_bytes).collect()),
+        M_F64 => Value::VF64(lanes(raw, f64::from_le_bytes).collect()),
+        _ => Value::VI64(lanes(raw, i64::from_le_bytes).collect()),
+    }
+}
+
+/// Write the lanes of `v` (memory type `MT`) as little-endian bytes into
+/// `out` — the bytes `Vm::store_value` writes lane by lane. `false` when
+/// `v` is not an `MT` vector covering `out` exactly (the per-lane path
+/// then handles it).
+#[inline(always)]
+fn vlanes_to_le<const MT: u8>(v: &Value, out: &mut [u8]) -> bool {
+    fn put<T: Copy, const W: usize>(xs: &[T], out: &mut [u8], to: fn(T) -> [u8; W]) -> bool {
+        if xs.len() * W != out.len() {
+            return false;
+        }
+        for (c, x) in out.chunks_exact_mut(W).zip(xs) {
+            c.copy_from_slice(&to(*x));
+        }
+        true
+    }
+    match (MT, v) {
+        (M_F32, Value::VF32(xs)) => put(xs.as_slice(), out, f32::to_le_bytes),
+        (M_F64, Value::VF64(xs)) => put(xs.as_slice(), out, f64::to_le_bytes),
+        (M_I64, Value::VI64(xs)) => put(xs.as_slice(), out, i64::to_le_bytes),
+        _ => false,
+    }
+}
+
+/// Unit-stride vector load (see [`unit_stride_vec`]): one bounds check
+/// for the whole contiguous range, lanes decoded straight from guest
+/// bytes. A range that is not fully mapped takes the per-lane path,
+/// which traps at the first bad lane exactly as the other engines do.
+fn t_vload_unit<const MT: u8, const DEFER: bool>(
+    vm: &mut Vm<'_>,
+    _dec: &DecodedModule,
+    tf: &ThreadedFunc,
+    ta: &TArgs,
+    ctx: &mut TCtx,
+) -> Result<Step, VmError> {
+    vm.stats.mir_ops += 1;
+    let base = ctx.cur.base as usize;
+    let addr = vm.tval_i64(base, ta.b, &tf.consts_i64) as u64;
+    let mem = mem_of(MT);
+    let bytes = mem.bytes() as u32;
+    let v = match vm.mem.slice(addr, (bytes * ta.c) as u64) {
+        Ok(raw) => vlanes_from_le::<MT>(raw),
+        Err(_) => vm.load_value(addr, mem, ta.c as u8, bytes as i64)?,
+    };
+    vm.dset(base, ta.a, v);
+    let mref = MemRef {
+        addr,
+        bytes,
+        lanes: ta.c,
+        stride: bytes as i64,
+        is_store: false,
+    };
+    vm.retire_one::<DEFER>(MachineOp::simple(OpClass::VecLoad, ta.pc).with_mem(mref));
+    Ok(Step::Continue)
+}
+
+/// Unit-stride vector store: one bounds check, lanes written from the
+/// register slot in place (no `Value` clone). A range that is not fully
+/// mapped takes the per-lane path, which writes the lanes before the
+/// first bad one and then traps, exactly as the other engines do.
+fn t_vstore_unit<const MT: u8, const DEFER: bool>(
+    vm: &mut Vm<'_>,
+    _dec: &DecodedModule,
+    tf: &ThreadedFunc,
+    ta: &TArgs,
+    ctx: &mut TCtx,
+) -> Result<Step, VmError> {
+    vm.stats.mir_ops += 1;
+    let base = ctx.cur.base as usize;
+    let addr = vm.tval_i64(base, ta.a, &tf.consts_i64) as u64;
+    let mem = mem_of(MT);
+    let bytes = mem.bytes() as u32;
+    let v = &vm.dregs[base + ta.b as usize];
+    let written = match vm.mem.slice_mut(addr, (bytes * ta.c) as u64) {
+        Ok(out) => vlanes_to_le::<MT>(v, out),
+        Err(_) => false,
+    };
+    if !written {
+        let v = v.clone();
+        vm.store_value(addr, mem, ta.c as u8, bytes as i64, &v)?;
+    }
+    let mref = MemRef {
+        addr,
+        bytes,
+        lanes: ta.c,
+        stride: bytes as i64,
+        is_store: true,
+    };
+    vm.retire_one::<DEFER>(MachineOp::simple(OpClass::VecStore, ta.pc).with_mem(mref));
     Ok(Step::Continue)
 }
 

@@ -670,3 +670,287 @@ fn decoded_engine_sampling_matches_reference() {
         }
     }
 }
+
+/// A vectorizable memset + triad + f32 scale stream: compiled with each
+/// vector platform's capabilities, its unit-stride vector loads and
+/// stores (f32, f64 and i64 lanes) bind the unit-stride templates and
+/// sit inside superblocks.
+const VEC_STREAM_SRC: &str = r#"
+    fn memset64(p: *i64, n: i64, v: i64) {
+        for (var i: i64 = 0; i < n; i = i + 1) {
+            p[i] = v;
+        }
+    }
+    fn triad(a: *f64, b: *f64, c: *f64, n: i64, k: f64) {
+        for (var i: i64 = 0; i < n; i = i + 1) {
+            a[i] = b[i] + k * c[i];
+        }
+    }
+    fn scale32(f: *f32, n: i64, k: f32) {
+        for (var i: i64 = 0; i < n; i = i + 1) {
+            f[i] = f[i] * k + 0.5;
+        }
+    }
+"#;
+
+/// Guest memory of the vectorized-stream runs.
+const VEC_MEM: u64 = 1 << 20;
+
+/// The vector platforms and their compiled stream module.
+fn vec_stream_modules() -> Vec<(PlatformSpec, mperf_ir::Module)> {
+    use mperf_ir::transform::vectorize::VectorizePass;
+    use mperf_roofline::microbench::vec_caps_for;
+    use mperf_sim::Platform;
+    [
+        Platform::SpacemitX60,
+        Platform::TheadC910,
+        Platform::IntelI5_1135G7,
+    ]
+    .into_iter()
+    .map(|p| {
+        let mut module = mperf_ir::compile("vec-stream", VEC_STREAM_SRC).unwrap();
+        PassManager::standard().run(&mut module);
+        let report = VectorizePass::new(vec_caps_for(p)).run_with_report(&mut module);
+        assert!(
+            report.vectorized() >= 3,
+            "{p:?}: every stream loop vectorizes: {report:?}"
+        );
+        (p.spec(), module)
+    })
+    .collect()
+}
+
+/// Stage the stream's arrays and run memset, triad and scale over `n`
+/// elements. With `oob_tail = Some(k)`, the triad's destination starts
+/// `k` elements before the end of guest memory, so a vector store
+/// straddles the end (or lies past it) and traps mid-block after
+/// writing its in-bounds lanes. Returns the first error, if any, and
+/// the guest bytes of every array.
+fn vec_stream_run(vm: &mut Vm, n: i64, oob_tail: Option<u64>) -> (Option<String>, Vec<u8>) {
+    let bytes = n as u64 * 8;
+    let p = vm.mem.alloc(bytes, 64).unwrap();
+    let b = vm.mem.alloc(bytes, 64).unwrap();
+    let c = vm.mem.alloc(bytes, 64).unwrap();
+    let f = vm.mem.alloc(n as u64 * 4, 64).unwrap();
+    let a = match oob_tail {
+        Some(k) => VEC_MEM - 8 * k,
+        None => vm.mem.alloc(bytes, 64).unwrap(),
+    };
+    for i in 0..n as u64 {
+        vm.mem.write_f64(b + 8 * i, i as f64 * 0.25).unwrap();
+        vm.mem.write_f64(c + 8 * i, 1.0 - i as f64).unwrap();
+        vm.mem.write_f32(f + 4 * i, i as f32 / 3.0).unwrap();
+    }
+    let ptr = |x: u64| Value::I64(x as i64);
+    let calls: [(&str, Vec<Value>); 3] = [
+        (
+            "memset64",
+            vec![ptr(p), Value::I64(n), Value::I64(n * 7 - 3)],
+        ),
+        (
+            "triad",
+            vec![ptr(a), ptr(b), ptr(c), Value::I64(n), Value::F64(3.0)],
+        ),
+        ("scale32", vec![ptr(f), Value::I64(n), Value::F32(1.5)]),
+    ];
+    let mut err = None;
+    for (entry, args) in calls {
+        if let Err(e) = vm.call(entry, &args) {
+            err = Some(format!("{entry}: {e:?}"));
+            break;
+        }
+    }
+    let mut mem = Vec::new();
+    for (base, len) in [(p, bytes), (b, bytes), (c, bytes), (f, n as u64 * 4)] {
+        mem.extend_from_slice(vm.mem.slice(base, len).unwrap());
+    }
+    let a_len = match oob_tail {
+        Some(k) => 8 * k,
+        None => bytes,
+    };
+    mem.extend_from_slice(vm.mem.slice(a, a_len).unwrap());
+    (err, mem)
+}
+
+/// Vectorized programs are engine-exact too: memset, triad and an f32
+/// scale compiled with the x60, c910 and i5 vector capabilities return,
+/// store and count the same on every engine configuration as on the
+/// reference interpreter — ExecStats, cycles, instructions, PMU counter
+/// files and guest memory — including a vector store that runs off the
+/// end of guest memory and traps mid-superblock after writing its
+/// in-bounds lanes. The threaded engine must actually run those vector
+/// memory ops inside superblocks.
+#[test]
+fn vectorized_stream_matches_reference() {
+    for (spec, module) in vec_stream_modules() {
+        let dec = mperf_vm::decode_module(&module);
+        let in_block = dec.funcs.iter().zip(&dec.threaded).any(|(df, tf)| {
+            tf.blocks.iter().any(|b| {
+                df.ops[b.start as usize..=b.last as usize].iter().any(|op| {
+                    matches!(
+                        op,
+                        mperf_vm::DecodedOp::Load { lanes, .. }
+                            | mperf_vm::DecodedOp::Store { lanes, .. } if *lanes > 1
+                    )
+                })
+            })
+        });
+        assert!(
+            in_block,
+            "{}: vector memory runs inside superblocks",
+            spec.name
+        );
+
+        for (n, oob_tail) in [
+            (1, None),
+            (7, None),
+            (64, None),
+            (203, None),
+            (64, Some(5)),
+            (64, Some(8)),
+            (33, Some(30)),
+        ] {
+            let run = |engine: Engine, fuse: bool, regalloc: bool| {
+                let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), VEC_MEM as usize);
+                vm.set_engine(engine);
+                vm.set_fusion(fuse);
+                vm.set_regalloc(regalloc);
+                let (err, mem) = vec_stream_run(&mut vm, n, oob_tail);
+                let pmu: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+                    .map(|i| vm.core.pmu().read(i))
+                    .collect();
+                (
+                    err,
+                    vm.stats(),
+                    vm.core.cycles(),
+                    vm.core.instructions(),
+                    pmu,
+                    mem,
+                )
+            };
+            let reference = run(Engine::Reference, true, true);
+            assert_eq!(
+                reference.0.is_some(),
+                oob_tail.is_some(),
+                "{} n={n}: only the off-the-end run traps: {:?}",
+                spec.name,
+                reference.0
+            );
+            for (label, engine, fuse, regalloc) in engine_matrix() {
+                let got = run(engine, fuse, regalloc);
+                let ctx = format!("{} n={n} oob={oob_tail:?} ({label})", spec.name);
+                assert_eq!(reference.0, got.0, "trap: {ctx}");
+                assert_eq!(reference.1, got.1, "ExecStats: {ctx}");
+                assert_eq!(reference.2, got.2, "cycles: {ctx}");
+                assert_eq!(reference.3, got.3, "instructions: {ctx}");
+                assert_eq!(reference.4, got.4, "PMU counters: {ctx}");
+                assert!(reference.5 == got.5, "guest memory: {ctx}");
+            }
+        }
+    }
+}
+
+/// Sampling over vectorized code is engine-exact: with cycle leaders
+/// (the x60 u-mode-cycles workaround, direct cycles on c910 and i5),
+/// instruction leaders and cache-reference leaders, at periods 1, 7 and
+/// 997, every engine configuration takes the same samples (ip,
+/// callchain, time, group values) and ends with the same counters,
+/// overflow status and cycles as the reference interpreter — so the
+/// overflow lands on the same op when it is a vector load or store
+/// inside a superblock.
+#[test]
+fn vectorized_stream_sampling_matches_reference() {
+    use mperf_event::{EventKind, HwCounter, PerfEventAttr, PerfKernel, ReadFormat};
+    use mperf_sim::HwEvent;
+
+    let cycles = EventKind::Hardware(HwCounter::Cycles);
+    let instructions = EventKind::Hardware(HwCounter::Instructions);
+    let cache_refs = EventKind::Hardware(HwCounter::CacheReferences);
+    let umc = EventKind::Raw(PlatformSpec::x60().event_code(HwEvent::UModeCycles));
+    let handler_cycles =
+        PerfKernel::new(&mut Core::new(PlatformSpec::c910())).sample_overhead_cycles;
+
+    for (spec, module) in vec_stream_modules() {
+        let leaders = if spec.name == PlatformSpec::x60().name {
+            // Only the mode-cycle events can sample on the x60.
+            vec![(umc, "u-mode-cycles")]
+        } else {
+            vec![
+                (cycles, "cycles"),
+                (instructions, "instructions"),
+                (cache_refs, "cache-references"),
+            ]
+        };
+        for (leader, lname) in leaders {
+            for period in [1u64, 7, 997] {
+                let n = if period < 10 { 24 } else { 4000 };
+                let run = |engine: Engine, fuse: bool, regalloc: bool| {
+                    let mut core = Core::new(spec.clone());
+                    let mut kernel = PerfKernel::new(&mut core);
+                    let attr = PerfEventAttr {
+                        kind: leader,
+                        sample_period: period,
+                        sample_type: SampleType::full(),
+                        read_format: ReadFormat {
+                            group: true,
+                            id: true,
+                        },
+                        disabled: true,
+                    };
+                    let fd = kernel.open(&mut core, attr, None).unwrap();
+                    for m in [cycles, instructions] {
+                        if m != leader {
+                            kernel
+                                .open(&mut core, PerfEventAttr::counting(m), Some(fd))
+                                .unwrap();
+                        }
+                    }
+                    kernel.enable(&mut core, fd).unwrap();
+                    let mut vm = Vm::with_memory(&module, core, VEC_MEM as usize);
+                    vm.set_engine(engine);
+                    vm.set_fusion(fuse);
+                    vm.set_regalloc(regalloc);
+                    vm.attach_kernel(kernel);
+                    let (err, mem) = vec_stream_run(&mut vm, n, None);
+                    assert_eq!(err, None);
+                    let mut kernel = vm.kernel.take().unwrap();
+                    let records = kernel.drain_records(fd).unwrap();
+                    let counters: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+                        .map(|i| vm.core.pmu().read(i))
+                        .collect();
+                    (
+                        records,
+                        kernel.samples_taken(),
+                        counters,
+                        vm.core.pmu().overflow_status(),
+                        vm.core.cycles(),
+                        mem,
+                    )
+                };
+                let reference = run(Engine::Reference, true, true);
+                // A cycles leader below the handler's own cost stops after
+                // one sample (see `decoded_engine_sampling_matches_reference`).
+                let stalls = leader == cycles && period < handler_cycles;
+                assert!(
+                    reference.1 >= 3 || (stalls && reference.1 == 1),
+                    "{} {lname} period {period}: expected a sample stream: {}",
+                    spec.name,
+                    reference.1
+                );
+                for (cfg, engine, fuse, regalloc) in engine_matrix() {
+                    let got = run(engine, fuse, regalloc);
+                    let ctx = format!("{} {lname} period {period} ({cfg})", spec.name);
+                    assert_eq!(reference.1, got.1, "sample counts: {ctx}");
+                    assert_eq!(reference.0, got.0, "sample records: {ctx}");
+                    assert_eq!(reference.2, got.2, "counter files: {ctx}");
+                    assert_eq!(
+                        (reference.3, reference.4),
+                        (got.3, got.4),
+                        "overflow status or cycles: {ctx}"
+                    );
+                    assert!(reference.5 == got.5, "guest memory: {ctx}");
+                }
+            }
+        }
+    }
+}
