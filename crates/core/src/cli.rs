@@ -1086,9 +1086,9 @@ fn cmd_roofline(opts: &CommonOpts) -> i32 {
     println!("{}", opts.config_line());
     let module = triad_module(opts.platform);
     let setup = cli_triad_setup(CLI_TRIAD_N);
-    // Baseline + instrumented phases run as independent sweep jobs; the
-    // machine characterization fans its memset/triad kernels out the
-    // same way.
+    // Baseline + instrumented phases run as independent sweep jobs;
+    // `roofline_body` then characterizes the machine with one memset
+    // job on the same worker pool.
     let request = RooflineRequest::new().jobs(opts.jobs).config(opts.exec);
     let run = match request.run(&module, &opts.platform.spec(), "triad", &setup) {
         Ok(run) => run,

@@ -363,6 +363,22 @@ mod tests {
         }
     }
 
+    /// Sampling blocks have a finite deadline and never chain: recording
+    /// the CLI demo at period 997 commits every block it enters (plus
+    /// one commit per cut), on x60 and c910 alike.
+    #[test]
+    fn record_does_not_chain_blocks() {
+        for platform in [Platform::SpacemitX60, Platform::TheadC910] {
+            let (mut vm, args) = crate::cli::demo_vm(platform);
+            record(&mut vm, "demo", &args, RecordConfig { period: 997 }).unwrap();
+            let blocks = vm.block_dynamics();
+            assert!(
+                blocks.entered > 0 && blocks.commits >= blocks.entered,
+                "{platform:?}: {blocks:?}"
+            );
+        }
+    }
+
     #[test]
     fn guest_trap_propagates_but_counters_stop() {
         let src = "fn boom(p: *i64) -> i64 { return *p; }";

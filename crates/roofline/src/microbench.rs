@@ -290,6 +290,31 @@ mod tests {
         assert_golden_memset(Platform::IntelI5_1135G7, 0x4023_a6ee_acc5_7610);
     }
 
+    /// Quiet superblocks chain: the scalar u74 memset forms two blocks
+    /// per element (the `cmp`+`condbr` loop header and the body), and a
+    /// counting run commits them to the PMU once per chain of about
+    /// `QUIET_BLOCK_OPS` block ops, not once per block.
+    #[test]
+    fn u74_memset_commits_once_per_chain() {
+        use mperf_sim::core::QUIET_BLOCK_OPS;
+        let platform = Platform::SifiveU74;
+        let shared = stream_module(platform);
+        let mut vm = shared.vm_with_memory(Core::new(platform.spec()), 1 << 20);
+        let n = 1 << 15;
+        let p = vm.mem.alloc(n * 8, 64).expect("fits");
+        vm.call(
+            "memset64",
+            &[Value::I64(p as i64), Value::I64(n as i64), Value::I64(1)],
+        )
+        .expect("memset runs");
+        let blocks = vm.block_dynamics();
+        assert!(blocks.entered >= 2 * n, "{blocks:?}");
+        assert!(
+            blocks.commits <= blocks.block_ops / (QUIET_BLOCK_OPS as u64 / 2),
+            "{blocks:?}"
+        );
+    }
+
     #[test]
     fn model_includes_measured_memory_roof() {
         let ch = characterize_with(Platform::SpacemitX60, 1 << 20);

@@ -20,12 +20,14 @@ pub const MAX_FUSED_BATCH: usize = 6;
 /// carry: an FMA over the widest (255-lane) vector type is 510.
 pub const MAX_OP_FLOPS: u32 = 512;
 
-/// Largest block, and largest DRAM backlog (cycles) at its entry, that
-/// [`Core::block_begin_in`] runs unchecked on a quiet PMU without
-/// working out its deadline: such a block advances any counter by less
-/// than [`crate::pmu::QUIET_HEADROOM`] (`Core::new` asserts the
-/// platform's per-op bounds keep it so).
-const QUIET_BLOCK_OPS: u32 = 1 << 12;
+/// Largest block or chain of blocks, and largest DRAM backlog (cycles)
+/// at its entry, that [`Core::block_begin_in`] runs unchecked on a quiet
+/// PMU without working out its deadline: such a run advances any counter
+/// by less than [`crate::pmu::QUIET_HEADROOM`] (`Core::new` asserts the
+/// platform's per-op bounds keep it so). The backlog term of that bound
+/// is the backlog at entry plus one occupancy per line queued since, so
+/// it holds for a chain ([`Core::block_chain`]) as for one block.
+pub const QUIET_BLOCK_OPS: u32 = 1 << 12;
 const QUIET_BACKLOG: u64 = 1 << 24;
 
 /// RISC-V privilege modes (the x86 model reuses User/Supervisor).
@@ -73,6 +75,10 @@ pub struct BlockAcc {
     deadline: u64,
     /// Machine ops the block applies at most (its deadline's bound).
     ops: u32,
+    /// Machine ops further blocks may still add to this accumulator
+    /// ([`Core::block_chain`]): what is left of [`QUIET_BLOCK_OPS`] when
+    /// the block was armed quiet, zero otherwise.
+    chain: u32,
 }
 
 impl BlockAcc {
@@ -619,7 +625,9 @@ impl Core {
     /// [`BlockAcc::needs_check`] lets the caller skip the checks. That is
     /// the rule when no sampling counter is close (counting and roofline
     /// runs), which a quiet PMU ([`Pmu::quiet`]) settles without the
-    /// arithmetic.
+    /// arithmetic. A block armed quiet may be followed by more blocks
+    /// into the same accumulator, up to [`QUIET_BLOCK_OPS`] in all (see
+    /// [`Core::block_chain`]).
     #[inline(always)]
     pub fn block_begin_in(&mut self, acc: &mut BlockAcc, machine_ops: u32) {
         let start = self.current_centi();
@@ -630,14 +638,36 @@ impl Core {
             acc.deltas = EventDeltas::default();
             acc.complex = false;
         }
-        acc.deadline = if machine_ops <= QUIET_BLOCK_OPS
+        if machine_ops <= QUIET_BLOCK_OPS
             && self.pmu.quiet(self.mode)
             && self.mem.backlog_cycles(start) <= QUIET_BACKLOG
         {
-            u64::MAX
+            acc.deadline = u64::MAX;
+            acc.chain = QUIET_BLOCK_OPS - machine_ops;
         } else {
-            self.block_deadline(start, machine_ops)
-        };
+            acc.deadline = self.block_deadline(start, machine_ops);
+            acc.chain = 0;
+        }
+    }
+
+    /// Whether a block of at most `machine_ops` ops, entered right after
+    /// the open one ends, may run into the same accumulator — one commit
+    /// for the chain instead of one per block. Only a block armed quiet
+    /// chains, and only while the chain's ops stay within
+    /// [`QUIET_BLOCK_OPS`]: the bound behind its `u64::MAX` deadline
+    /// covers the whole chain, since counters are additive and the
+    /// blocks' cycles telescope. On `true` the budget is spent; the
+    /// caller runs the block and commits with [`Core::retire_block`]
+    /// when the chain ends.
+    #[inline(always)]
+    pub fn block_chain(&self, acc: &mut BlockAcc, machine_ops: u32) -> bool {
+        match acc.chain.checked_sub(machine_ops) {
+            Some(left) => {
+                acc.chain = left;
+                true
+            }
+            None => false,
+        }
     }
 
     /// [`Core::block_begin_in`]'s deadline for a block of at most
@@ -776,16 +806,16 @@ impl Core {
         acc.deltas.instructions += expansion as u64;
     }
 
-    /// Commit one superblock, or its ops up to the one that reached the
-    /// deadline: tick the PMU once with the accumulated event deltas
-    /// (per-op cycle deltas telescope into `now − start`). This is
-    /// observably exact. Counters are additive, and every op before the
-    /// committed one stayed below the deadline, so no counter wrapped
-    /// before it. The combined tick therefore fires exactly the counters
-    /// the per-op path fires at the last op and leaves the same values.
-    /// A trap mid-block commits a partial block the same way. The
-    /// accumulator is left dirty; the next [`Core::block_begin_in`]
-    /// resets it.
+    /// Commit one superblock (or quiet chain of them), or its ops up to
+    /// the one that reached the deadline: tick the PMU once with the
+    /// accumulated event deltas (per-op cycle deltas telescope into
+    /// `now − start`). This is observably exact. Counters are additive,
+    /// and every op before the committed one stayed below the deadline,
+    /// so no counter wrapped before it. The combined tick therefore fires
+    /// exactly the counters the per-op path fires at the last op and
+    /// leaves the same values. A trap mid-block commits a partial block
+    /// the same way. The accumulator is left dirty; the next
+    /// [`Core::block_begin_in`] resets it.
     pub fn retire_block(&mut self, acc: &mut BlockAcc) -> RetireInfo {
         let cycles = self.current_centi() / 100 - acc.start_centi / 100;
         let instructions;

@@ -216,16 +216,21 @@ impl RegallocDynamics {
 }
 
 /// Runtime superblock statistics of the threaded engine: how often
-/// blocks ran, how often a counter wrap cut one, and how many machine
-/// ops they retired (the rest of [`ExecStats::machine_ops`] retired one
-/// by one, outside blocks). Like [`FusionDynamics`], tracked outside
-/// [`ExecStats`] on purpose — superblocks must leave every observable
-/// bit-identical, and these counters exist to report how much of the
-/// dynamic stream they covered.
+/// blocks ran, how often they committed to the PMU, how often a counter
+/// wrap cut one, and how many machine ops they retired (the rest of
+/// [`ExecStats::machine_ops`] retired one by one, outside blocks). Like
+/// [`FusionDynamics`], tracked outside [`ExecStats`] on purpose —
+/// superblocks must leave every observable bit-identical, and these
+/// counters exist to report how much of the dynamic stream they
+/// covered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockDynamics {
-    /// Superblock entries.
+    /// Superblock entries, chained ones included.
     pub entered: u64,
+    /// PMU commits of block accumulators ([`mperf_sim::Core::retire_block`]
+    /// calls), cuts included: one per block, or one per quiet chain of
+    /// blocks, plus one per cut.
+    pub commits: u64,
     /// Commits cut at the op whose retire wrapped a counter (one per
     /// overflow interrupt raised inside a block).
     pub cut_at_wrap: u64,
@@ -795,6 +800,7 @@ impl<'m> Vm<'m> {
     #[cold]
     #[inline(never)]
     fn block_cut(&mut self, pc: u64) {
+        self.block_dyn.commits += 1;
         let info = self.core.retire_block(&mut self.block_acc);
         if info.overflow != 0 {
             self.block_dyn.cut_at_wrap += 1;
@@ -2301,13 +2307,20 @@ impl<'m> Vm<'m> {
     /// template fast path.
     #[inline]
     pub(crate) fn tval(&self, base: usize, slot: u32, consts: &[Value]) -> Value {
+        self.tval_ref(base, slot, consts).clone()
+    }
+
+    /// Borrowing lane of [`Vm::tval`]: the operand's `Value` in place,
+    /// without the clone.
+    #[inline]
+    pub(crate) fn tval_ref<'a>(&'a self, base: usize, slot: u32, consts: &'a [Value]) -> &'a Value {
         if slot & threaded::SLOT_CONST != 0 {
-            consts[(slot & !threaded::SLOT_CONST) as usize].clone()
+            &consts[(slot & !threaded::SLOT_CONST) as usize]
         } else {
             debug_assert!((base + slot as usize) < self.dregs.len());
             // SAFETY: register slots are < num_regs (validated at
             // template-compile time); window invariant as in `deval`.
-            unsafe { self.dregs.get_unchecked(base + slot as usize).clone() }
+            unsafe { self.dregs.get_unchecked(base + slot as usize) }
         }
     }
 
@@ -2352,8 +2365,11 @@ impl<'m> Vm<'m> {
     /// ip starts a block and the whole block fits the fuel, every
     /// covered template applies its timing eagerly but defers its PMU
     /// tick into the VM's [`BlockAcc`], committed once by
-    /// [`mperf_sim::Core::retire_block`]. After each template the driver
-    /// compares the clock against the block's deadline; the op that
+    /// [`mperf_sim::Core::retire_block`]. A block armed quiet (no
+    /// deadline: counting, `stat` and roofline runs) chains into the
+    /// blocks that follow it ([`Vm::run_chain`]), so a loop commits once
+    /// per chain, not once per basic block. After each template the
+    /// driver compares the clock against the block's deadline; the op that
     /// reaches it commits the block through itself and takes the
     /// overflow there ([`Vm::block_check`]), so sampling runs stay on
     /// this path. A trap mid-block commits the partial accumulator first
@@ -2401,9 +2417,10 @@ impl<'m> Vm<'m> {
                     let (last_ip, err) = if self.block_acc.needs_check() {
                         self.run_superblock::<true>(dec, tf, b.last, &mut ctx)
                     } else {
-                        self.run_superblock::<false>(dec, tf, b.last, &mut ctx)
+                        self.run_chain(dec, tf, b.last, &mut ctx)
                     };
                     self.block_dyn.block_ops += self.stats.machine_ops - entry_ops;
+                    self.block_dyn.commits += 1;
                     let info = self.core.retire_block(&mut self.block_acc);
                     // Every op below the deadline: nothing can wrap here.
                     debug_assert_eq!(info.overflow, 0, "block wrap not cut at its op");
@@ -2424,6 +2441,49 @@ impl<'m> Vm<'m> {
                     return Err(e);
                 }
             }
+        }
+    }
+
+    /// Run a quiet superblock, then every block that starts where the
+    /// previous one ended, into the same accumulator, while
+    /// [`mperf_sim::Core::block_chain`] grants the ops and the fuel
+    /// covers the next whole block. The chain stops at a non-block op, a
+    /// trap, the chain budget or the fuel; the caller commits it once.
+    /// Exact for the same reasons a single block is: nothing inside a
+    /// block reads the PMU (host calls see their arguments and the
+    /// eagerly timed `Core::cycles` only), counters are additive and the
+    /// blocks' cycles telescope.
+    #[inline(always)]
+    fn run_chain(
+        &mut self,
+        dec: &DecodedModule,
+        tf: &threaded::ThreadedFunc,
+        mut last: u32,
+        ctx: &mut TCtx,
+    ) -> (usize, Option<VmError>) {
+        loop {
+            let done = self.run_superblock::<false>(dec, tf, last, ctx);
+            if done.1.is_some() {
+                return done;
+            }
+            let ip = ctx.cur.ip as usize;
+            debug_assert!(ip < tf.block_at.len());
+            // SAFETY: blocks hold no calls or returns, so the block left
+            // `ip` at a validated slot of this function, as the driver's
+            // own `block_at` lookup assumes; `block_at` entries index
+            // `blocks`.
+            let bi = unsafe { *tf.block_at.get_unchecked(ip) };
+            if bi == u32::MAX {
+                return done;
+            }
+            let b = unsafe { tf.blocks.get_unchecked(bi as usize) };
+            if self.stats.machine_ops + b.machine_ops as u64 > self.fuel
+                || !self.core.block_chain(&mut self.block_acc, b.machine_ops)
+            {
+                return done;
+            }
+            self.block_dyn.entered += 1;
+            last = b.last;
         }
     }
 
@@ -2517,13 +2577,30 @@ impl<'m> Vm<'m> {
     #[inline]
     pub(crate) fn store_scalar(&mut self, base: u64, mem: MemTy, v: &Value) -> Result<(), VmError> {
         match (mem, v) {
-            (MemTy::I8, Value::I64(x)) => self.mem.write(base, &[(*x as u8)]),
-            (MemTy::I16, Value::I64(x)) => self.mem.write(base, &(*x as u16).to_le_bytes()),
-            (MemTy::I32, Value::I64(x)) => self.mem.write(base, &(*x as u32).to_le_bytes()),
-            (MemTy::I64, Value::I64(x)) => self.mem.write_u64(base, *x as u64),
             (MemTy::F32, Value::F32(x)) => self.mem.write_f32(base, *x),
             (MemTy::F64, Value::F64(x)) => self.mem.write_f64(base, *x),
+            (MemTy::I8 | MemTy::I16 | MemTy::I32 | MemTy::I64, Value::I64(x)) => {
+                self.store_scalar_i64(base, mem, *x)
+            }
             (m, v) => unreachable!("verifier admits store {m} of {v:?}"),
+        }
+    }
+
+    /// Raw-`i64` lane of [`Vm::store_scalar`] for integer memory types
+    /// (truncation semantics identical to the `Value` lane).
+    #[inline]
+    pub(crate) fn store_scalar_i64(
+        &mut self,
+        base: u64,
+        mem: MemTy,
+        x: i64,
+    ) -> Result<(), VmError> {
+        match mem {
+            MemTy::I8 => self.mem.write(base, &[x as u8]),
+            MemTy::I16 => self.mem.write(base, &(x as u16).to_le_bytes()),
+            MemTy::I32 => self.mem.write(base, &(x as u32).to_le_bytes()),
+            MemTy::I64 => self.mem.write_u64(base, x as u64),
+            other => unreachable!("integer store of {other}"),
         }
     }
 

@@ -179,10 +179,17 @@
 //! effects immediately (so `Core::cycles` stays exact mid-block) while
 //! event deltas accumulate in a `BlockAcc`, committed as one
 //! `Core::retire_block` tick — blocks of 6–20 ops tick the PMU once
-//! instead of per op. Fused sites inside a block execute
-//! as their *constituent templates* (exactly their bail path — the
-//! block already batches the tick, so the one-tick fused retire adds
-//! nothing); outside blocks they run the fused fast path.
+//! instead of per op. A block armed *quiet* (no sampling counter close
+//! to its wrap: counting, `stat` and roofline runs) chains: when the ip
+//! after it starts another block that fits the fuel, that block runs
+//! into the same accumulator, up to `QUIET_BLOCK_OPS` machine ops in
+//! all ([`mperf_sim::Core::block_chain`]). A loop then commits once per
+//! chain rather than once per basic block (the scalar memset's 2-op
+//! loop header and its body are two blocks per element). Fused sites
+//! inside a block execute as their *constituent templates* (exactly
+//! their bail path — the block already batches the tick, so the
+//! one-tick fused retire adds nothing); outside blocks they run the
+//! fused fast path.
 //!
 //! **The observable-invariance contract** (same as fusion's and
 //! regalloc's): return values, `ExecStats`, cycles, instructions, PMU
@@ -203,9 +210,13 @@
 //! additive and nothing wrapped before that op, so the combined tick
 //! fires what the per-op path fires there and leaves the same values.
 //! A trap mid-block commits the partial accumulator the same way and
-//! propagates. [`interp::BlockDynamics`] counts block entries, cuts
-//! and the ops retired inside blocks (deliberately outside
-//! `ExecStats`).
+//! propagates. A quiet chain is exact for the same reasons: counters
+//! are additive, the blocks' cycles telescope, nothing inside a block
+//! reads the PMU, and the bound behind the quiet `u64::MAX` deadline
+//! covers `QUIET_BLOCK_OPS` ops whether they come as one block or
+//! several. Sampling blocks never chain. [`interp::BlockDynamics`]
+//! counts block entries, PMU commits, cuts and the ops retired inside
+//! blocks (deliberately outside `ExecStats`).
 //!
 //! **Adding a `DecodedOp`** now means: give it a template thunk
 //! (generic over `const DEFER: bool` for the single/block retire

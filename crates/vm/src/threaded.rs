@@ -66,6 +66,16 @@
 //! machine ops, after each), and the op that reaches it commits the
 //! block through itself and takes its overflow interrupt there.
 //!
+//! **Quiet chains.** A block armed quiet (deadline `u64::MAX` from the
+//! quiet-PMU shortcut: every counting, `stat`, roofline and sweep run)
+//! does not commit where it ends. When the next ip starts another block
+//! that fits the fuel and [`mperf_sim::Core::block_chain`] grants its
+//! ops (`QUIET_BLOCK_OPS` in all), the driver runs it into the same
+//! accumulator, so a loop whose header and body are separate blocks
+//! commits once per chain of about 4k ops. The chain ends at a non-block
+//! op, the budget, the fuel or a trap, with one `retire_block`. Sampling
+//! blocks keep their per-block commit.
+//!
 //! **The observable-invariance contract** is the same as fusion's and
 //! regalloc's: cycles, instructions, PMU counter files, sampling
 //! records, and traps landing mid-block are bit-identical to the
@@ -484,7 +494,11 @@ fn bind(op: &DecodedOp, df: &DecodedFunc, tf: &mut ThreadedFunc, pc: u64) -> Tem
             *mem,
             TArgs {
                 a: islot(addr, &mut tf.consts_i64),
-                b: vslot(val, &mut tf.consts),
+                b: if matches!(mem, MemTy::F32 | MemTy::F64) {
+                    vslot(val, &mut tf.consts)
+                } else {
+                    islot(val, &mut tf.consts_i64)
+                },
                 c: 0,
                 d: 0,
                 pc,
@@ -1030,8 +1044,19 @@ fn t_store_scalar<const MT: u8, const DEFER: bool>(
     let base = ctx.cur.base as usize;
     let addr = vm.tval_i64(base, ta.a, &tf.consts_i64) as u64;
     let mem = mem_of(MT);
-    let v = vm.tval(base, ta.b, &tf.consts);
-    vm.store_scalar(addr, mem, &v)?;
+    // The operand is read in place (integer lanes raw from the `i64`
+    // pool, floats copied out of the borrowed slot): no `Value` clone.
+    match MT {
+        M_F32 | M_F64 => match *vm.tval_ref(base, ta.b, &tf.consts) {
+            Value::F32(x) => vm.mem.write_f32(addr, x)?,
+            Value::F64(x) => vm.mem.write_f64(addr, x)?,
+            ref v => unreachable!("verifier admits store {mem} of {v:?}"),
+        },
+        _ => {
+            let x = vm.tval_i64(base, ta.b, &tf.consts_i64);
+            vm.store_scalar_i64(addr, mem, x)?
+        }
+    }
     vm.retire_one::<DEFER>(
         MachineOp::simple(OpClass::Store, ta.pc).with_mem(MemRef::scalar(
             addr,

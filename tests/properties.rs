@@ -406,23 +406,32 @@ proptest! {
     /// patterns and *on* elided-copy slots (the loop body's `s = ...`
     /// copy coalesces away under regalloc), exercising both the
     /// superinstruction bail paths and the retire-only elided-copy
-    /// dispatch at the trap boundary.
+    /// dispatch at the trap boundary. The counted loop's header and body
+    /// are two superblocks that chain on a quiet PMU, so fuel past
+    /// `QUIET_BLOCK_OPS` also lands the exhaustion point inside and
+    /// across quiet block chains, which stop one block short of the
+    /// fuel.
     #[test]
-    fn decoded_engine_matches_reference_on_traps(fuel in 50u64..400) {
-        let src = "fn main(n: i64) -> i64 { var s: i64 = 0; while (true) { s = s + n; } return s; }";
-        let module = mperf_ir::compile("trap", src).unwrap();
-        let run = |engine: Engine, fuse: bool, regalloc: bool| {
-            let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
-            vm.set_engine(engine);
-            vm.set_fusion(fuse);
-            vm.set_regalloc(regalloc);
-            vm.set_fuel(fuel);
-            let err = vm.call("main", &[Value::I64(3)]).unwrap_err();
-            (format!("{err:?}"), vm.stats(), vm.core.cycles())
-        };
-        let reference = run(Engine::Reference, true, true);
-        for (label, engine, fuse, regalloc) in engine_matrix() {
-            prop_assert_eq!(&reference, &run(engine, fuse, regalloc), "{}", label);
+    fn decoded_engine_matches_reference_on_traps(fuel in 50u64..20_000) {
+        for src in [
+            "fn main(n: i64) -> i64 { var s: i64 = 0; while (true) { s = s + n; } return s; }",
+            "fn main(n: i64) -> i64 { var s: i64 = 0; \
+             for (var i: i64 = 0; i < 1000000; i = i + 1) { s = s + n; } return s; }",
+        ] {
+            let module = mperf_ir::compile("trap", src).unwrap();
+            let run = |engine: Engine, fuse: bool, regalloc: bool| {
+                let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
+                vm.set_engine(engine);
+                vm.set_fusion(fuse);
+                vm.set_regalloc(regalloc);
+                vm.set_fuel(fuel);
+                let err = vm.call("main", &[Value::I64(3)]).unwrap_err();
+                (format!("{err:?}"), vm.stats(), vm.core.cycles())
+            };
+            let reference = run(Engine::Reference, true, true);
+            for (label, engine, fuse, regalloc) in engine_matrix() {
+                prop_assert_eq!(&reference, &run(engine, fuse, regalloc), "{}", label);
+            }
         }
     }
 
@@ -779,73 +788,113 @@ fn vec_stream_run(vm: &mut Vm, n: i64, oob_tail: Option<u64>) -> (Option<String>
 /// files and guest memory — including a vector store that runs off the
 /// end of guest memory and traps mid-superblock after writing its
 /// in-bounds lanes. The threaded engine must actually run those vector
-/// memory ops inside superblocks.
+/// memory ops inside superblocks. The same stream compiled scalar for
+/// the u74 runs long enough to span several quiet block chains, and its
+/// off-the-end triad store traps inside one; there the threaded engine
+/// must actually chain blocks.
 #[test]
 fn vectorized_stream_matches_reference() {
-    for (spec, module) in vec_stream_modules() {
-        let dec = mperf_vm::decode_module(&module);
-        let in_block = dec.funcs.iter().zip(&dec.threaded).any(|(df, tf)| {
-            tf.blocks.iter().any(|b| {
-                df.ops[b.start as usize..=b.last as usize].iter().any(|op| {
-                    matches!(
-                        op,
-                        mperf_vm::DecodedOp::Load { lanes, .. }
-                            | mperf_vm::DecodedOp::Store { lanes, .. } if *lanes > 1
-                    )
-                })
-            })
-        });
-        assert!(
-            in_block,
-            "{}: vector memory runs inside superblocks",
-            spec.name
-        );
+    let mut scalar = mperf_ir::compile("scalar-stream", VEC_STREAM_SRC).unwrap();
+    PassManager::standard().run(&mut scalar);
+    let modules = vec_stream_modules()
+        .into_iter()
+        .map(|(spec, module)| (spec, module, true))
+        .chain([(PlatformSpec::u74(), scalar, false)]);
+    for (spec, module, vectorized) in modules {
+        let cases: &[(i64, Option<u64>)] = if vectorized {
+            &[
+                (1, None),
+                (7, None),
+                (64, None),
+                (203, None),
+                (64, Some(5)),
+                (64, Some(8)),
+                (33, Some(30)),
+            ]
+        } else {
+            &[(7, None), (2000, None), (2000, Some(1500))]
+        };
+        if vectorized {
+            assert_vector_memory_in_blocks(&spec, &module);
+        }
+        check_stream_cases(&spec, &module, cases);
+    }
+}
 
-        for (n, oob_tail) in [
-            (1, None),
-            (7, None),
-            (64, None),
-            (203, None),
-            (64, Some(5)),
-            (64, Some(8)),
-            (33, Some(30)),
-        ] {
-            let run = |engine: Engine, fuse: bool, regalloc: bool| {
-                let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), VEC_MEM as usize);
-                vm.set_engine(engine);
-                vm.set_fusion(fuse);
-                vm.set_regalloc(regalloc);
-                let (err, mem) = vec_stream_run(&mut vm, n, oob_tail);
-                let pmu: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
-                    .map(|i| vm.core.pmu().read(i))
-                    .collect();
-                (
-                    err,
-                    vm.stats(),
-                    vm.core.cycles(),
-                    vm.core.instructions(),
-                    pmu,
-                    mem,
+/// The threaded engine runs a vectorized stream's vector memory ops
+/// inside superblocks.
+fn assert_vector_memory_in_blocks(spec: &PlatformSpec, module: &mperf_ir::Module) {
+    let dec = mperf_vm::decode_module(module);
+    let in_block = dec.funcs.iter().zip(&dec.threaded).any(|(df, tf)| {
+        tf.blocks.iter().any(|b| {
+            df.ops[b.start as usize..=b.last as usize].iter().any(|op| {
+                matches!(
+                    op,
+                    mperf_vm::DecodedOp::Load { lanes, .. }
+                        | mperf_vm::DecodedOp::Store { lanes, .. } if *lanes > 1
                 )
-            };
-            let reference = run(Engine::Reference, true, true);
-            assert_eq!(
-                reference.0.is_some(),
-                oob_tail.is_some(),
-                "{} n={n}: only the off-the-end run traps: {:?}",
-                spec.name,
-                reference.0
-            );
-            for (label, engine, fuse, regalloc) in engine_matrix() {
-                let got = run(engine, fuse, regalloc);
-                let ctx = format!("{} n={n} oob={oob_tail:?} ({label})", spec.name);
-                assert_eq!(reference.0, got.0, "trap: {ctx}");
-                assert_eq!(reference.1, got.1, "ExecStats: {ctx}");
-                assert_eq!(reference.2, got.2, "cycles: {ctx}");
-                assert_eq!(reference.3, got.3, "instructions: {ctx}");
-                assert_eq!(reference.4, got.4, "PMU counters: {ctx}");
-                assert!(reference.5 == got.5, "guest memory: {ctx}");
+            })
+        })
+    });
+    assert!(
+        in_block,
+        "{}: vector memory runs inside superblocks",
+        spec.name
+    );
+}
+
+/// [`vectorized_stream_matches_reference`]'s comparison: each
+/// `(n, oob_tail)` case of [`vec_stream_run`] on every engine
+/// configuration against the reference interpreter.
+fn check_stream_cases(
+    spec: &PlatformSpec,
+    module: &mperf_ir::Module,
+    cases: &[(i64, Option<u64>)],
+) {
+    for &(n, oob_tail) in cases {
+        let run = |engine: Engine, fuse: bool, regalloc: bool| {
+            let mut vm = Vm::with_memory(module, Core::new(spec.clone()), VEC_MEM as usize);
+            vm.set_engine(engine);
+            vm.set_fusion(fuse);
+            vm.set_regalloc(regalloc);
+            let (err, mem) = vec_stream_run(&mut vm, n, oob_tail);
+            let pmu: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+                .map(|i| vm.core.pmu().read(i))
+                .collect();
+            if engine == Engine::Threaded && n > 1000 {
+                let blocks = vm.block_dynamics();
+                assert!(
+                    blocks.commits < blocks.entered,
+                    "{} n={n}: quiet blocks chain: {blocks:?}",
+                    spec.name
+                );
             }
+            (
+                err,
+                vm.stats(),
+                vm.core.cycles(),
+                vm.core.instructions(),
+                pmu,
+                mem,
+            )
+        };
+        let reference = run(Engine::Reference, true, true);
+        assert_eq!(
+            reference.0.is_some(),
+            oob_tail.is_some(),
+            "{} n={n}: only the off-the-end run traps: {:?}",
+            spec.name,
+            reference.0
+        );
+        for (label, engine, fuse, regalloc) in engine_matrix() {
+            let got = run(engine, fuse, regalloc);
+            let ctx = format!("{} n={n} oob={oob_tail:?} ({label})", spec.name);
+            assert_eq!(reference.0, got.0, "trap: {ctx}");
+            assert_eq!(reference.1, got.1, "ExecStats: {ctx}");
+            assert_eq!(reference.2, got.2, "cycles: {ctx}");
+            assert_eq!(reference.3, got.3, "instructions: {ctx}");
+            assert_eq!(reference.4, got.4, "PMU counters: {ctx}");
+            assert!(reference.5 == got.5, "guest memory: {ctx}");
         }
     }
 }
